@@ -2,10 +2,10 @@
 //! `bos_bench::experiments::throughput` (writes `BENCH_PR4.json` and
 //! `BENCH_PR8.json`).
 //!
-//! Pass `--quick` for the tier-1 configuration: only the PR 8 solver
-//! section (encode sessions + the frozen-reference speedup gate), which
-//! writes `BENCH_PR8.json` and skips the kernel/operator/migration
-//! sweeps.
+//! Pass `--quick` for the tier-1 configuration: only the solver section
+//! (encode sessions + the frozen-reference speedup gate) and the
+//! block-decode gate. It writes no file and skips the
+//! kernel/operator/migration sweeps.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -26,14 +26,19 @@
 //!   the PR 8 acceptance gate — the overhauled BOS-B search must be at
 //!   least [`SOLVER_SPEEDUP_GATE`]× the frozen pre-overhaul reference
 //!   (`bos::solver::reference`) while returning bit-identical
-//!   `Solution`s block for block. This section also runs alone under
-//!   `--quick` as part of the tier-1 recipe.
+//!   `Solution`s block for block.
+//! * **Block decode**: `bos::decode` (the table-driven classify / unpack /
+//!   gather decoder) against the frozen bit-serial decoder it replaced, on every
+//!   fig-10 dataset encoded by BOS-B and by BOS-M in 1024-value blocks.
+//!   The geomean speedup per solver must reach [`DECODE_SPEEDUP_GATE`]×,
+//!   with identical decoded values.
 //!
-//! Results are written to `BENCH_PR4.json` at the workspace root so later
-//! PRs can diff their numbers against this artifact (`BENCH_PR3.json` from
-//! the previous PR is kept untouched); the solver section writes its own
-//! `BENCH_PR8.json`. Timings use [`time_best_of`] / [`time_stats`]
-//! (warmup + min-of-`BOS_REPEATS`) for reproducibility.
+//! `--quick` (part of the tier-1 recipe) runs only the solver and
+//! block-decode sections and writes no file. The full run writes
+//! `BENCH_PR4.json` and `BENCH_PR8.json` at the workspace root so later
+//! PRs can diff their numbers against these artifacts (`BENCH_PR3.json`
+//! from an earlier PR is kept untouched). Timings use [`time_best_of`] /
+//! [`time_stats`] (warmup + min-of-`BOS_REPEATS`) for reproducibility.
 
 use crate::harness::{time_best_of, time_stats, Config, Table, TimeStats};
 use bitpack::codec::encode_blocks_parallel;
@@ -81,6 +86,21 @@ const MIGRATION_GATE: f64 = 1.5;
 /// (`bos::solver::reference::bitwidth_solve`) on the gate dataset — the
 /// PR 8 acceptance bar for the seeded-pruning / family-jump overhaul.
 const SOLVER_SPEEDUP_GATE: f64 = 10.0;
+
+/// Required same-run block-decode speedup of `bos::decode` over the
+/// frozen bit-serial decoder: the geomean over the fig-10 datasets, for
+/// BOS-B and for BOS-M streams alike.
+const DECODE_SPEEDUP_GATE: f64 = 2.0;
+
+/// Alternating shipping/frozen rounds per dataset in the decode A/B (the
+/// minimum of each side is kept).
+const DECODE_AB_ROUNDS: usize = 3;
+
+/// The frozen bit-serial BOS block decoder: the same source file that
+/// `bos::format` compiles as its `#[cfg(test)]` oracle, so the baseline
+/// timed here is the one the differential tests pin against.
+#[path = "../../../bos/src/format/oracle.rs"]
+mod frozen_decode;
 
 /// Outlier share of the solver gate dataset: 1 value in 50 (2%).
 const OUTLIER_DIVISOR: u64 = 50;
@@ -169,6 +189,129 @@ impl MigrationRow {
     fn decode_speedup(&self) -> f64 {
         self.decode_v2 / self.decode_v1
     }
+}
+
+/// One (solver, dataset) row of the block-decode A/B.
+struct DecodeRow {
+    solver: &'static str,
+    dataset: &'static str,
+    values: usize,
+    /// Best frozen bit-serial decode time (ns).
+    reference_ns: f64,
+    /// Best shipping decode time (ns).
+    new_ns: f64,
+}
+
+impl DecodeRow {
+    fn speedup(&self) -> f64 {
+        self.reference_ns / self.new_ns
+    }
+}
+
+type BlockDecode = fn(&[u8], &mut usize, &mut Vec<i64>) -> bitpack::DecodeResult<()>;
+
+/// Decodes `blocks` consecutive blocks of `buf` into `out`.
+fn decode_stream(decode: BlockDecode, buf: &[u8], blocks: usize, out: &mut Vec<i64>) {
+    out.clear();
+    let mut pos = 0;
+    for _ in 0..blocks {
+        decode(buf, &mut pos, out).expect("decode");
+    }
+}
+
+/// Times `bos::decode` against the frozen decoder on every fig-10
+/// dataset, encoded by BOS-B and by BOS-M, asserting identical values.
+fn decode_rows(cfg: &Config) -> Vec<DecodeRow> {
+    let sets = all_datasets(cfg.n);
+    let mut rows = Vec::new();
+    for kind in [SolverKind::BitWidth, SolverKind::Median] {
+        let codec = BosCodec::new(kind);
+        for dataset in &sets {
+            let ints = dataset.as_scaled_ints();
+            let mut buf = Vec::new();
+            for block in ints.chunks(BLOCK) {
+                codec.encode(block, &mut buf);
+            }
+            let blocks = ints.len().div_ceil(BLOCK);
+            let mut new_out = Vec::with_capacity(ints.len());
+            let mut reference_out = Vec::with_capacity(ints.len());
+            let (mut new_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..DECODE_AB_ROUNDS {
+                let (_, ns) = time_best_of(cfg.repeats, || {
+                    decode_stream(bos::decode, &buf, blocks, &mut new_out)
+                });
+                new_ns = new_ns.min(ns);
+                let (_, ns) = time_best_of(cfg.repeats, || {
+                    decode_stream(
+                        frozen_decode::decode_block,
+                        &buf,
+                        blocks,
+                        &mut reference_out,
+                    )
+                });
+                reference_ns = reference_ns.min(ns);
+            }
+            assert_eq!(new_out, ints, "{kind} decode on {}", dataset.abbr);
+            assert_eq!(
+                reference_out, ints,
+                "frozen {kind} decode on {}",
+                dataset.abbr
+            );
+            rows.push(DecodeRow {
+                solver: kind.label(),
+                dataset: dataset.abbr,
+                values: ints.len(),
+                reference_ns,
+                new_ns,
+            });
+        }
+    }
+    rows
+}
+
+/// Runs the block-decode A/B and enforces [`DECODE_SPEEDUP_GATE`] on the
+/// per-solver geomean speedup.
+fn decode_section(cfg: &Config) {
+    let rows = decode_rows(cfg);
+    println!(
+        "BOS block decode vs frozen bit-serial decoder (million values/s, \
+         1024-value blocks, identical values):"
+    );
+    let mut table = Table::new(["solver", "dataset", "frozen", "shipping", "speedup"]);
+    for r in &rows {
+        table.row([
+            r.solver.to_string(),
+            r.dataset.to_string(),
+            fmt_mvps(vps(r.values, r.reference_ns)),
+            fmt_mvps(vps(r.values, r.new_ns)),
+            format!("{:.2}x", r.speedup()),
+        ]);
+    }
+    table.print();
+    for solver in [SolverKind::BitWidth.label(), SolverKind::Median.label()] {
+        let speedups: Vec<f64> = rows
+            .iter()
+            .filter(|r| r.solver == solver)
+            .map(DecodeRow::speedup)
+            .collect();
+        let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+        println!(
+            "{solver} block decode speedup: geomean {geomean:.2}x \
+             (gate: >= {DECODE_SPEEDUP_GATE}x)"
+        );
+        if cfg!(debug_assertions) {
+            println!("(debug build: decode speedup gate reported but not enforced)");
+        } else if cfg.n < GATE_MIN_N {
+            println!("(BOS_N < {GATE_MIN_N}: decode speedup gate reported but not enforced)");
+        } else {
+            assert!(
+                geomean >= DECODE_SPEEDUP_GATE,
+                "{solver} block decode must be >= {DECODE_SPEEDUP_GATE}x the frozen \
+                 bit-serial decoder (fig-10 geomean), got {geomean:.2}x"
+            );
+        }
+    }
+    println!();
 }
 
 /// Values per second from a count and elapsed nanoseconds.
@@ -630,8 +773,8 @@ fn pr8_output_path() -> PathBuf {
 
 /// Runs the PR 8 solver section: per-solver encode throughput through
 /// scratch-reusing sessions, then the frozen-reference speedup gate.
-/// Writes `BENCH_PR8.json`.
-fn solver_section(cfg: &Config) {
+/// Writes `BENCH_PR8.json` when `write_artifact` is set.
+fn solver_section(cfg: &Config, write_artifact: bool) {
     let series = outlier_series(cfg.n);
 
     let encode_rows = solver_encode_rows(cfg, &series);
@@ -680,6 +823,10 @@ fn solver_section(cfg: &Config) {
     }
     println!();
 
+    if !write_artifact {
+        println!("(--quick: BENCH_PR8.json not written)");
+        return;
+    }
     let json = render_pr8_json(cfg, &encode_rows, &speedup_rows);
     let path = pr8_output_path();
     std::fs::write(&path, &json).expect("write BENCH_PR8.json");
@@ -899,18 +1046,20 @@ fn output_path() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("BENCH_PR4.json")
 }
 
-/// Runs only the PR 8 solver section (the tier-1 `--quick` recipe):
-/// per-solver encode throughput, the frozen-reference speedup gate, and
-/// `BENCH_PR8.json` — skipping the kernel/operator/migration sweeps.
+/// Runs only the solver and block-decode sections (the tier-1 `--quick`
+/// recipe): per-solver encode throughput, the frozen-reference solver
+/// speedup gate and the block-decode gate — skipping the kernel/operator/
+/// migration sweeps and writing no file, so tier-1 leaves the tree clean.
 pub fn run_quick(cfg: &Config) {
     super::banner(
-        "PR8 solver throughput (quick): sessions, pruning gate (values/s)",
+        "Solver and block-decode throughput (quick): sessions, pruning and decode gates (values/s)",
         cfg,
     );
-    solver_section(cfg);
+    solver_section(cfg, false);
+    decode_section(cfg);
 }
 
-/// Runs the experiment and writes `BENCH_PR4.json` + `BENCH_PR8.json`.
+/// Runs every section and writes `BENCH_PR4.json` + `BENCH_PR8.json`.
 pub fn run(cfg: &Config) {
     super::banner(
         "PR4 throughput: kernels, operators, migration, and obs metrics (values/s)",
@@ -1106,5 +1255,6 @@ pub fn run(cfg: &Config) {
     println!("Wrote {}", path.display());
     println!();
 
-    solver_section(cfg);
+    solver_section(cfg, true);
+    decode_section(cfg);
 }

@@ -353,7 +353,10 @@ pub fn pack_words_for(values: &[i64], reference: i64, w: u32, out: &mut Vec<u8>)
 
 /// Fused frame-of-reference unpack: appends `reference +w v` (wrapping) for
 /// each unpacked value in one pass — the inverse of [`pack_words_for`] and
-/// the fused form of `unpack_words` + restore. Returns the bytes consumed.
+/// the fused form of `unpack_words` + restore. Every lane, including the
+/// final partial one, goes through the unrolled kernel table and writes
+/// straight into `out`, so the call makes no heap allocation beyond
+/// growing `out`. Returns the bytes consumed.
 pub fn unpack_words_for(
     buf: &[u8],
     n: usize,
@@ -390,11 +393,17 @@ pub fn unpack_words_for(
     }
     let tail = n - full * LANE;
     if tail > 0 {
+        // The final partial lane runs through the same lane kernel: its
+        // words are zero-padded to a whole lane on the stack, and only the
+        // first `tail` values (whose bits all lie in the loaded words) are
+        // kept, so no heap buffer is needed.
         let tail_bytes = full * wn * 8;
         let rest = payload.get(tail_bytes..).ok_or(DecodeError::Truncated)?;
-        let mut raw = Vec::with_capacity(tail);
-        kernels::unpack_words(rest, tail, w, &mut raw)?;
-        out.extend(raw.into_iter().map(|v| reference.wrapping_add(v as i64)));
+        words.fill(0);
+        load_lane_words(rest, &mut words);
+        kernel(&words, &mut vals);
+        let kept = vals.get(..tail).ok_or(DecodeError::Truncated)?;
+        out.extend(kept.iter().map(|&v| reference.wrapping_add(v as i64)));
     }
     Ok(bytes)
 }
@@ -455,6 +464,38 @@ mod tests {
                     unpack_words_for(&fused, values.len(), w, reference, &mut out).expect("unpack");
                 assert_eq!(consumed, fused.len());
                 assert_eq!(out, values, "w = {w}, ref = {reference}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_unpack_tail_lane_every_width() {
+        // Counts around the lane boundary: a lone tail, a tail one short of
+        // a lane, whole lanes, and lanes plus a tail.
+        for w in 0..=64u32 {
+            for n in [1usize, 63, 64, 65, 127, 128] {
+                let reference = i64::from(w) - (1 << 33);
+                let deltas = masked(w, u64::from(w) ^ 0x55, n);
+                let mut packed = Vec::new();
+                pack_words(&deltas, w, &mut packed);
+                // Appends after existing contents, which must survive.
+                let mut out = vec![7i64, -7];
+                let consumed =
+                    unpack_words_for(&packed, n, w, reference, &mut out).expect("unpack");
+                assert_eq!(consumed, packed.len(), "w = {w}, n = {n}");
+                let expected: Vec<i64> = [7, -7]
+                    .into_iter()
+                    .chain(deltas.iter().map(|&d| reference.wrapping_add(d as i64)))
+                    .collect();
+                assert_eq!(out, expected, "w = {w}, n = {n}");
+                if !packed.is_empty() {
+                    let mut out = Vec::new();
+                    assert_eq!(
+                        unpack_words_for(&packed[..packed.len() - 1], n, w, reference, &mut out),
+                        Err(DecodeError::Truncated),
+                        "w = {w}, n = {n}"
+                    );
+                }
             }
         }
     }

@@ -777,8 +777,10 @@ impl<'a> TsFileReader<'a> {
     }
 
     /// Parses a chunk at `info.offset`, verifying its CRC. Returns the
-    /// decimals (floats only) and decoded integers.
+    /// decimals (floats only) and decoded integers. The CRC check and the
+    /// decode are timed together as the `tsfile.read_chunk` span.
     fn read_chunk(&self, info: &SeriesInfo) -> Result<(Option<u8>, Vec<i64>), TsFileError> {
+        let _span = obs::span("tsfile.read_chunk");
         let header = parse_chunk_header(self.data, info.offset as usize)?;
         if header.name != info.name.as_bytes() {
             return Err(TsFileError::Corrupt("index/chunk name mismatch"));

@@ -214,3 +214,55 @@ proptest! {
         }
     }
 }
+
+/// The read path is metered like the encode path: every chunk read is one
+/// `tsfile.read_chunk` span, and the BOS decode tallies count exactly the
+/// plain and separated blocks the encoder wrote.
+#[test]
+fn read_path_meters_agree_with_encode_meters() {
+    if !obs::enabled() {
+        return; // feature off: nothing to meter
+    }
+    let _guard = obs_lock();
+    let values: Vec<i64> = (0..20_000i64)
+        .map(|i| match i % 101 {
+            0 => 1 << 40,
+            1 => -(1 << 40),
+            _ => 1_000 + (i * 7919) % 97,
+        })
+        .collect();
+    let flat = vec![5i64; 3_000];
+
+    let before_encode = obs::snapshot();
+    let mut writer = tsfile::TsFileWriter::new();
+    for (name, series) in [("outliers", &values), ("flat", &flat)] {
+        writer
+            .add_int_series(name, series, tsfile::EncodingChoice::TS2DIFF_BOS)
+            .expect("add series");
+    }
+    let bytes = writer.finish();
+    let written = obs::snapshot();
+
+    let reader = tsfile::TsFileReader::open(&bytes).expect("open");
+    assert_eq!(reader.read_ints("outliers").expect("read"), values);
+    assert_eq!(reader.read_ints("flat").expect("read"), flat);
+    let after = obs::snapshot();
+
+    let encoded = |name: &str| written.counter(name) - before_encode.counter(name);
+    let decoded = |name: &str| after.counter(name) - written.counter(name);
+    assert!(encoded("bos.blocks_separated") > 0, "fixture must separate");
+    assert_eq!(
+        decoded("bos.decode.blocks_separated"),
+        encoded("bos.blocks_separated")
+    );
+    assert_eq!(
+        decoded("bos.decode.blocks_plain"),
+        encoded("bos.blocks_plain")
+    );
+    let spans = |snap: &obs::Snapshot| snap.span("tsfile.read_chunk").map_or(0, |s| s.count);
+    assert_eq!(
+        spans(&after) - spans(&written),
+        2,
+        "one span per chunk read"
+    );
+}

@@ -120,3 +120,59 @@ fn parallel_and_sequential_streams_are_interchangeable() {
     let scanner = Scanner::open(&par).unwrap();
     assert_eq!(scanner.materialize().unwrap(), ints);
 }
+
+/// Decodes a lowercase hex string.
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+        .collect()
+}
+
+/// Bytes written by the bytewise table CRC-32 that slicing-by-8 replaced:
+/// the TsFile chunk and footer checksums and the manifest frame checksums
+/// must still verify, so stores written before the change still open.
+#[test]
+fn files_and_manifests_written_by_the_bytewise_crc_still_verify() {
+    use bos_repro::store::manifest::{decode, Record};
+
+    // One TS2DIFF+BOS-B series "s" of 40 values.
+    const TSFILE: &str = "424f53545346000101017300010628432801808080800827010303b5feffff\
+        0797ffffff03b4feffff070203028007000e00181c000000000000006dd1b668d1b6685bb4685bb405\
+        0000000d00000000000000181c1c14010173082800010648f3c7275700000000000000424f53545346\
+        0001";
+    let bytes = unhex(TSFILE);
+    let expected: Vec<i64> = (0..40)
+        .map(|i| if i % 13 == 0 { 1 << 30 } else { 100 + i % 5 })
+        .collect();
+    let reader = TsFileReader::open(&bytes).expect("footer CRC verifies");
+    assert_eq!(reader.read_ints("s").expect("chunk CRC verifies"), expected);
+
+    const MANIFEST: &str = "424f534d414e00010102000025b383fe020200643da81ab601020101f2b29f\
+        9002020132bd6d092d030402020001bea1085f040402020001ae7d28ed0501071973caa2";
+    let bytes = unhex(MANIFEST);
+    let log = decode(&bytes);
+    assert!(!log.torn && log.skipped_frames == 0, "every frame verifies");
+    assert_eq!(log.valid_bytes, bytes.len());
+    assert_eq!(
+        log.records,
+        vec![
+            Record::FileAdded { id: 0, order: 0 },
+            Record::FileSealed {
+                id: 0,
+                records: 100
+            },
+            Record::FileAdded { id: 1, order: 1 },
+            Record::FileSealed { id: 1, records: 50 },
+            Record::CompactionBegin {
+                inputs: vec![0, 1],
+                output: 2
+            },
+            Record::CompactionCommit {
+                inputs: vec![0, 1],
+                output: 2
+            },
+            Record::RetentionDelete { id: 7 },
+        ]
+    );
+}

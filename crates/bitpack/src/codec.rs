@@ -10,7 +10,10 @@
 //! generalizes that to long series by segmenting into fixed-size blocks and
 //! fanning encode out over std threads. Blocks are independent, so the
 //! output is byte-identical to the sequential path and [`decode_blocks`]
-//! (or any incremental reader) works on either.
+//! (or any incremental reader) works on either. Its block loop,
+//! [`encode_blocks_with`], is the only place in the workspace that spawns
+//! encode threads: outer encodings with independent blocks (TS2DIFF) write
+//! their own header and call it with their own sessions.
 
 use crate::error::{DecodeResult, EncodeError};
 use crate::width::{range_u64, width};
@@ -161,18 +164,17 @@ fn encode_one_caught(
 
 /// Sequential panic-contained block loop shared by the single-thread path
 /// and the post-panic retry: the first block whose encode still panics
-/// rolls `out` back to `restore` and surfaces as a typed error.
-fn encode_blocks_caught<C: BlockCodec + ?Sized>(
-    codec: &C,
+/// rolls `out` back to its entry length and surfaces as a typed error.
+fn encode_blocks_caught<S: EncodeSession>(
+    session: &mut S,
     values: &[i64],
     block_size: usize,
     out: &mut Vec<u8>,
     meter: Option<&EncodeMeter>,
-    restore: usize,
 ) -> Result<(), EncodeError> {
-    let mut session = codec.encode_session();
+    let restore = out.len();
     for (i, block) in values.chunks(block_size).enumerate() {
-        if encode_one_caught(session.as_mut(), block, out, meter).is_err() {
+        if encode_one_caught(session, block, out, meter).is_err() {
             out.truncate(restore);
             return Err(EncodeError::WorkerPanicked { block: i });
         }
@@ -228,6 +230,12 @@ pub trait EncodeSession {
     fn encode_block(&mut self, values: &[i64], out: &mut Vec<u8>);
 }
 
+impl<S: EncodeSession + ?Sized> EncodeSession for Box<S> {
+    fn encode_block(&mut self, values: &[i64], out: &mut Vec<u8>) {
+        (**self).encode_block(values, out)
+    }
+}
+
 /// Default [`EncodeSession`]: no reusable state, forwards each block to
 /// [`BlockCodec::encode`].
 struct StatelessSession<'a, C: ?Sized>(&'a C);
@@ -275,13 +283,11 @@ impl<C: BlockCodec + ?Sized> BlockCodec for Box<C> {
 /// incremental reader — [`decode_blocks`], `bos::stream::StreamDecoder` —
 /// works on either.
 ///
-/// A codec panic is contained rather than propagated: each block encode
-/// runs under `catch_unwind`, and if any worker trips, the whole batch is
-/// retried sequentially with per-block containment (so a *transient* panic
-/// still completes the encode). A block that panics deterministically
-/// surfaces as [`EncodeError::WorkerPanicked`] carrying the first failing
-/// block index, with `out` rolled back to exactly its entry state — the
-/// caller's buffer is never left holding a half-written stream.
+/// The blocks go through [`encode_blocks_with`], one
+/// [`BlockCodec::encode_session`] per worker, so the panic contract is
+/// that function's: a block that panics deterministically surfaces as
+/// [`EncodeError::WorkerPanicked`] with `out` rolled back to exactly its
+/// entry state, the `n_blocks` prefix included.
 ///
 /// # Panics
 /// If `block_size` or `threads` is zero.
@@ -293,14 +299,79 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
     out: &mut Vec<u8>,
 ) -> Result<(), EncodeError> {
     assert!(block_size >= 1, "block_size must be >= 1");
+    let restore = out.len();
+    write_varint(out, values.len().div_ceil(block_size) as u64);
+    let meter = EncodeMeter::new(codec.name());
+    let result = run_blocks(
+        &|| codec.encode_session(),
+        values,
+        block_size,
+        threads,
+        meter,
+        out,
+    );
+    if result.is_err() {
+        out.truncate(restore);
+    }
+    result
+}
+
+/// The parallel driver's block loop without any stream prefix: appends
+/// the encoded `values.chunks(block_size)` to `out`, running block groups
+/// on up to `threads` worker threads, each through its own session from
+/// `new_session`, and concatenating them in block order. Outer encodings
+/// whose blocks are independent (TS2DIFF) write their own stream header
+/// and then call this, so one driver serves every block-parallel caller.
+///
+/// A codec panic is contained rather than propagated: each block encode
+/// runs under `catch_unwind`, and if any worker trips, the whole run is
+/// retried sequentially with per-block containment (so a *transient*
+/// panic still completes the encode). A block that panics
+/// deterministically surfaces as [`EncodeError::WorkerPanicked`] carrying
+/// the first failing block index, with `out` rolled back to its entry
+/// length — the caller's buffer is never left holding a half-written
+/// run.
+///
+/// Records the `driver.parallel.*` metrics and trail events; per-codec
+/// `codec.*` counters are [`encode_blocks_parallel`]'s, which knows the
+/// codec's label.
+///
+/// # Panics
+/// If `block_size` or `threads` is zero.
+pub fn encode_blocks_with<S, F>(
+    new_session: F,
+    values: &[i64],
+    block_size: usize,
+    threads: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), EncodeError>
+where
+    S: EncodeSession,
+    F: Fn() -> S + Sync,
+{
+    run_blocks(&new_session, values, block_size, threads, None, out)
+}
+
+/// [`encode_blocks_with`] plus the optional per-codec encode meter.
+fn run_blocks<S, F>(
+    new_session: &F,
+    values: &[i64],
+    block_size: usize,
+    threads: usize,
+    meter: Option<EncodeMeter>,
+    out: &mut Vec<u8>,
+) -> Result<(), EncodeError>
+where
+    S: EncodeSession,
+    F: Fn() -> S + Sync,
+{
+    assert!(block_size >= 1, "block_size must be >= 1");
     assert!(threads >= 1, "threads must be >= 1");
     let n_blocks = values.len().div_ceil(block_size);
-    let meter = EncodeMeter::new(codec.name());
-    let restore = out.len();
-    write_varint(out, n_blocks as u64);
     if threads == 1 || n_blocks <= 1 {
-        return encode_blocks_caught(codec, values, block_size, out, meter.as_ref(), restore);
+        return encode_blocks_caught(&mut new_session(), values, block_size, out, meter.as_ref());
     }
+    let observed = obs::enabled();
     let blocks: Vec<&[i64]> = values.chunks(block_size).collect();
     let chunk = blocks.len().div_ceil(threads);
     let mut parts: Vec<Vec<u8>> = Vec::new();
@@ -310,11 +381,11 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
             .chunks(chunk)
             .map(|group| {
                 scope.spawn(move || -> Result<Vec<u8>, ()> {
-                    let started = meter.map(|_| Instant::now());
-                    let mut session = codec.encode_session();
+                    let started = observed.then(Instant::now);
+                    let mut session = new_session();
                     let mut buf = Vec::new();
                     for block in group {
-                        encode_one_caught(session.as_mut(), block, &mut buf, meter.as_ref())?;
+                        encode_one_caught(&mut session, block, &mut buf, meter.as_ref())?;
                     }
                     if let Some(t0) = started {
                         PAR_WORKER_BLOCKS.record(group.len() as u64);
@@ -324,7 +395,7 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
                 })
             })
             .collect();
-        if meter.is_some() {
+        if observed {
             PAR_JOBS.inc();
             PAR_WORKERS.add(handles.len() as u64);
             obs::trail::emit(obs::trail::Event::DriverDispatch {
@@ -332,7 +403,7 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
                 workers: handles.len() as u64,
             });
         }
-        let join_started = meter.map(|_| Instant::now());
+        let join_started = observed.then(Instant::now);
         for h in handles {
             match h.join() {
                 Ok(Ok(part)) => parts.push(part),
@@ -345,7 +416,7 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
         if let Some(t0) = join_started {
             PAR_JOIN_WAIT_NS.add(elapsed_ns(t0));
         }
-        if meter.is_some() {
+        if observed {
             obs::trail::emit(obs::trail::Event::DriverJoin {
                 blocks: n_blocks as u64,
                 panicked,
@@ -358,18 +429,16 @@ pub fn encode_blocks_parallel<C: BlockCodec + Sync>(
         }
         return Ok(());
     }
-    // A worker panicked. Retry the batch sequentially with per-block
+    // A worker panicked. Retry the run sequentially with per-block
     // containment: transient panics complete on retry; a deterministic
     // panic identifies its block index and rolls `out` back.
-    if meter.is_some() {
+    if observed {
         PAR_WORKER_PANICS.inc();
         obs::trail::emit(obs::trail::Event::WorkerPanic {
             blocks: n_blocks as u64,
         });
     }
-    out.truncate(restore);
-    write_varint(out, n_blocks as u64);
-    encode_blocks_caught(codec, values, block_size, out, meter.as_ref(), restore)
+    encode_blocks_caught(&mut new_session(), values, block_size, out, meter.as_ref())
 }
 
 /// Decodes an [`encode_blocks_parallel`] stream back into one vector:

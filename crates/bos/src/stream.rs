@@ -6,6 +6,11 @@
 //! 2^6…2^13) and concatenates self-describing block streams so a reader
 //! can decode incrementally without an outer index.
 //!
+//! The same stream comes out of the workspace's shared block-parallel
+//! driver, `bitpack::codec::encode_blocks_parallel(&BosCodec::new(kind),
+//! ..)`, which fans the blocks across worker threads with identical
+//! bytes; [`StreamDecoder`] reads either.
+//!
 //! ```
 //! use bos::stream::{StreamDecoder, StreamEncoder};
 //! use bos::SolverKind;
@@ -62,26 +67,6 @@ impl StreamEncoder {
         for block in values.chunks(self.block_size) {
             session.encode_block(block, out);
         }
-    }
-
-    /// Parallel variant of [`encode`](Self::encode): blocks are encoded on
-    /// `threads` worker threads and concatenated in order. The output is
-    /// byte-identical to the sequential path (blocks are independent), so
-    /// any reader works on either.
-    ///
-    /// Delegates to the shared driver
-    /// [`bitpack::codec::encode_blocks_parallel`], which works over any
-    /// [`bitpack::BlockCodec`] — the PFOR family gets the same treatment.
-    /// A panic inside a worker is contained there and surfaces as
-    /// [`bitpack::EncodeError::WorkerPanicked`] with `out` rolled back.
-    // lint:allow(encode-decode-pairing): byte-identical to `encode`, read back by `decode_all`; roundtrip covered by stream tests
-    pub fn encode_parallel(
-        &self,
-        values: &[i64],
-        threads: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), bitpack::EncodeError> {
-        bitpack::codec::encode_blocks_parallel(&self.codec, values, self.block_size, threads, out)
     }
 }
 
@@ -180,9 +165,10 @@ mod tests {
         let enc = StreamEncoder::new(SolverKind::BitWidth, 512);
         let mut seq = Vec::new();
         enc.encode(&values, &mut seq);
+        let codec = BosCodec::new(SolverKind::BitWidth);
         for threads in [1, 2, 3, 8] {
             let mut par = Vec::new();
-            enc.encode_parallel(&values, threads, &mut par)
+            bitpack::codec::encode_blocks_parallel(&codec, &values, 512, threads, &mut par)
                 .expect("parallel encode");
             assert_eq!(par, seq, "threads = {threads}");
         }

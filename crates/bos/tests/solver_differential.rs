@@ -124,10 +124,10 @@ proptest! {
     }
 }
 
-/// The intra-block parallel BOS-V path only engages above 2048 distinct
-/// values; the proptest blocks never reach that, so force it here.
+/// A block with more distinct values than the proptest blocks reach
+/// (> 2048, beyond the paper's largest block size).
 #[test]
-fn bosv_parallel_path_bit_identical_to_frozen_reference() {
+fn bosv_large_block_bit_identical_to_frozen_reference() {
     // > 2048 distinct values with tails on both sides and heavy ties.
     let mut values: Vec<i64> = (0..2600).map(|i| i * 3 % 7919).collect();
     values.extend((0..2600).map(|i| i * 3 % 7919)); // duplicate everything
@@ -140,8 +140,8 @@ fn bosv_parallel_path_bit_identical_to_frozen_reference() {
     assert!(got.cost_bits() <= expected.cost_bits());
 }
 
-/// Same forced-parallel block through BOS-B: exercises the seeded cut on
-/// a large candidate ladder.
+/// A similarly large block through BOS-B: exercises the seeded cut on a
+/// large candidate ladder.
 #[test]
 fn bosb_large_block_bit_identical_to_frozen_reference() {
     let mut values: Vec<i64> = (0..2600).map(|i| (i * i) % 100_003).collect();

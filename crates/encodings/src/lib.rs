@@ -81,8 +81,9 @@ impl PackerKind {
         PackerKind::BosM,
     ];
 
-    /// Instantiates the operator.
-    pub fn build(self) -> Box<dyn IntPacker> {
+    /// Instantiates the operator. Every operator is stateless, so the box
+    /// is `Send + Sync` and can feed the shared parallel encode driver.
+    pub fn build(self) -> Box<dyn IntPacker + Send + Sync> {
         match self {
             PackerKind::Bp => Box::new(pfor::BpCodec::new()),
             PackerKind::Pfor => Box::new(pfor::PforCodec::new()),

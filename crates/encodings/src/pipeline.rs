@@ -4,13 +4,17 @@
 //! an inner operator ([`PackerKind`]) and optionally the float scaling of
 //! `floatint` module, producing exactly the method grid of
 //! Figure 10 ("RLE+BOS-B", "TS2DIFF+FASTPFOR", …).
+//!
+//! [`Pipeline::encode_parallel`] is the store's encode entry point. It
+//! spawns no threads itself: TS2DIFF blocks go to the shared block
+//! driver in `bitpack::codec`, and the outer transforms with cross-block
+//! state encode sequentially.
 
 use crate::rle::RleEncoding;
 use crate::sprintz::SprintzEncoding;
 use crate::ts2diff::Ts2DiffEncoding;
 use crate::{floatint, IntPacker, PackerKind};
-use bitpack::error::{DecodeError, DecodeResult};
-use bitpack::zigzag::write_varint;
+use bitpack::error::{DecodeError, DecodeResult, EncodeError};
 
 /// The outer transform of a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,66 +89,29 @@ impl Pipeline {
 
     /// Encodes an integer series, fanning per-block encodes across up
     /// to `threads` worker threads when the outer transform's blocks
-    /// are independent — the pipeline-stream analog of
-    /// [`bitpack::codec::encode_blocks_parallel`]. Each worker builds
-    /// its own operator (and therefore re-runs the full solver search
-    /// on its blocks) and the parts concatenate in block order, so the
-    /// output is byte-identical to [`encode`](Self::encode). Only
-    /// TS2DIFF has independent blocks; RLE and SPRINTZ carry
-    /// cross-block state and fall back to the sequential path, as does
-    /// `threads <= 1` or a single-block series.
+    /// are independent. Only TS2DIFF has independent blocks: it goes to
+    /// the shared block driver through
+    /// [`Ts2DiffEncoding::encode_parallel`], which contains a panicking
+    /// operator as [`EncodeError::WorkerPanicked`] with `out` rolled
+    /// back. RLE and SPRINTZ carry cross-block state and take the
+    /// sequential [`encode`](Self::encode). Either way the bytes are
+    /// identical to [`encode`](Self::encode).
     // lint:allow(encode-decode-pairing): byte-identical to `encode`, so the existing `decode` is its counterpart (pinned by `parallel_encode_is_byte_identical`)
-    pub fn encode_parallel(&self, values: &[i64], threads: usize, out: &mut Vec<u8>) {
-        let n_blocks = values.len().div_ceil(self.block_size.max(1));
-        if threads <= 1 || n_blocks <= 1 || self.outer != OuterKind::Ts2Diff {
-            self.encode(values, out);
-            return;
-        }
-        // Stream header, exactly as the sequential TS2DIFF path writes
-        // it. `new`/`with_block_size` pipelines are always first-order.
-        const ORDER: u8 = 1;
-        let restore = out.len();
-        write_varint(out, values.len() as u64);
-        out.push(ORDER);
-        let blocks: Vec<&[i64]> = values.chunks(self.block_size).collect();
-        let per_worker = blocks.len().div_ceil(threads);
-        let mut parts: Vec<Vec<u8>> = Vec::new();
-        let mut lost = false;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = blocks
-                .chunks(per_worker)
-                .map(|group| {
-                    scope.spawn(move || {
-                        let enc = Ts2DiffEncoding::with_block_size(
-                            self.packer_kind.build(),
-                            self.block_size,
-                        );
-                        let mut scratch = Vec::with_capacity(self.block_size);
-                        let mut buf = Vec::new();
-                        for block in group {
-                            enc.encode_block_into(block, &mut scratch, &mut buf);
-                        }
-                        buf
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => parts.push(part),
-                    Err(_) => lost = true,
-                }
+    pub fn encode_parallel(
+        &self,
+        values: &[i64],
+        threads: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), EncodeError> {
+        match self.outer {
+            OuterKind::Ts2Diff => {
+                Ts2DiffEncoding::with_block_size(self.packer_kind.build(), self.block_size)
+                    .encode_parallel(values, threads, out)
             }
-        });
-        if lost {
-            // A worker panicked mid-batch: drop the partial stream and
-            // redo the series sequentially, mirroring the containment
-            // contract of the parallel block driver.
-            out.truncate(restore);
-            self.encode(values, out);
-            return;
-        }
-        for part in parts {
-            out.extend_from_slice(&part);
+            OuterKind::Rle | OuterKind::Sprintz => {
+                self.encode(values, out);
+                Ok(())
+            }
         }
     }
 
@@ -248,18 +215,20 @@ mod tests {
                 p.encode(&values, &mut seq);
                 for threads in [1, 2, 3, 7] {
                     let mut par = Vec::new();
-                    p.encode_parallel(&values, threads, &mut par);
+                    p.encode_parallel(&values, threads, &mut par)
+                        .expect("parallel encode");
                     assert_eq!(par, seq, "{} threads={threads}", p.label());
                 }
             }
         }
-        // Degenerate inputs take the sequential path untouched.
+        // Degenerate inputs (empty, one value, one block) match too.
         let p = Pipeline::new(OuterKind::Ts2Diff, PackerKind::BosB);
         for vals in [vec![], vec![7i64], (0..800).collect::<Vec<_>>()] {
             let mut seq = Vec::new();
             p.encode(&vals, &mut seq);
             let mut par = Vec::new();
-            p.encode_parallel(&vals, 4, &mut par);
+            p.encode_parallel(&vals, 4, &mut par)
+                .expect("parallel encode");
             assert_eq!(par, seq, "n={}", vals.len());
         }
     }

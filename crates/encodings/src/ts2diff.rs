@@ -11,11 +11,21 @@
 //! `order × zigzag heads · operator block(differences)`. An empty series
 //! is a single `varint 0`. The order is in the stream, so any
 //! `Ts2DiffEncoding` decodes any other's output.
+//!
+//! Encoding runs through a per-worker session that holds the difference
+//! scratch and the inner operator's own session, so a BOS solver and its
+//! scratch serve every block of a series. Blocks are independent:
+//! `encode_parallel` writes the header and hands the blocks to the
+//! workspace's one block-parallel driver,
+//! [`bitpack::codec::encode_blocks_with`], with bytes identical to
+//! `encode`.
 
 use crate::diff::{diff_in_place, undiff_in_place};
 use crate::IntPacker;
-use bitpack::error::{DecodeError, DecodeResult};
+use bitpack::codec::encode_blocks_with;
+use bitpack::error::{DecodeError, DecodeResult, EncodeError};
 use bitpack::zigzag::{read_varint, read_varint_i64, write_varint, write_varint_i64};
+use bitpack::EncodeSession;
 
 /// Highest differencing order the format accepts.
 pub const MAX_ORDER: usize = 8;
@@ -66,32 +76,77 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
 
     /// Encodes the whole series.
     pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
+        if self.write_header(values, out) {
+            let mut session = self.encode_session();
+            for block in values.chunks(self.block_size) {
+                session.encode_block(block, out);
+            }
+        }
+    }
+
+    /// Encodes the whole series with the block encodes fanned across up
+    /// to `threads` worker threads (0 counts as 1) by the shared driver
+    /// [`bitpack::codec::encode_blocks_with`], one encode session per
+    /// worker. Blocks are independent, so the bytes are identical to
+    /// [`encode`](Self::encode). A panicking operator surfaces as
+    /// [`EncodeError::WorkerPanicked`] with `out` rolled back to its entry
+    /// length, header included.
+    // lint:allow(encode-decode-pairing): byte-identical to `encode`, so the existing `decode` is its counterpart (pinned by `parallel_encode_contains_operator_panic_with_rollback`)
+    pub fn encode_parallel(
+        &self,
+        values: &[i64],
+        threads: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), EncodeError>
+    where
+        P: Sync,
+    {
+        let restore = out.len();
+        if !self.write_header(values, out) {
+            return Ok(());
+        }
+        let result = encode_blocks_with(
+            || self.encode_session(),
+            values,
+            self.block_size,
+            threads.max(1),
+            out,
+        );
+        if result.is_err() {
+            out.truncate(restore);
+        }
+        result
+    }
+
+    /// Writes the stream header `varint n · u8 order`; returns false for
+    /// an empty series, whose stream is the `varint 0` alone.
+    fn write_header(&self, values: &[i64], out: &mut Vec<u8>) -> bool {
         write_varint(out, values.len() as u64);
         if values.is_empty() {
-            return;
+            return false;
         }
         out.push(self.order as u8);
-        let mut scratch = Vec::with_capacity(self.block_size);
-        for block in values.chunks(self.block_size) {
-            self.encode_block_into(block, &mut scratch, out);
+        true
+    }
+
+    /// Per-worker encode state: the difference scratch plus the inner
+    /// operator's own session, so a BOS solver and its scratch are built
+    /// once per series (or per worker), not once per block.
+    fn encode_session(&self) -> Ts2DiffSession<'_> {
+        Ts2DiffSession {
+            order: self.order,
+            scratch: Vec::with_capacity(self.block_size),
+            inner: self.packer.encode_session(),
         }
     }
 
     /// Encodes one block's bytes — the `order × zigzag heads · operator
     /// block` unit [`encode`](Self::encode) concatenates after the
-    /// stream header. Blocks are independent, so parallel drivers can
-    /// produce byte-identical streams by encoding groups of blocks on
-    /// worker threads and concatenating the results in block order
-    /// (see `Pipeline::encode_parallel`).
+    /// stream header — through a one-shot `packer.encode` rather than a
+    /// session.
     // lint:allow(encode-decode-pairing): emits a fragment of the `encode` stream, which the existing `decode` reads (pinned by `parallel_encode_is_byte_identical`)
     pub fn encode_block_into(&self, block: &[i64], scratch: &mut Vec<i64>, out: &mut Vec<u8>) {
-        scratch.clear();
-        scratch.extend_from_slice(block);
-        diff_in_place(scratch, self.order);
-        let heads = self.order.min(block.len());
-        for &h in &scratch[..heads] {
-            write_varint_i64(out, h);
-        }
+        let heads = write_heads(self.order, block, scratch, out);
         self.packer.encode(&scratch[heads..], out);
     }
 
@@ -137,6 +192,35 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
     pub fn deltas(values: &[i64]) -> Vec<i64> {
         values.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect()
     }
+}
+
+/// [`Ts2DiffEncoding`]'s per-worker encode state (see
+/// `Ts2DiffEncoding::encode_session`).
+struct Ts2DiffSession<'a> {
+    order: usize,
+    scratch: Vec<i64>,
+    inner: Box<dyn EncodeSession + 'a>,
+}
+
+impl EncodeSession for Ts2DiffSession<'_> {
+    fn encode_block(&mut self, values: &[i64], out: &mut Vec<u8>) {
+        let heads = write_heads(self.order, values, &mut self.scratch, out);
+        self.inner.encode_block(&self.scratch[heads..], out);
+    }
+}
+
+/// Differences `block` at `order` into `scratch` and writes its heads to
+/// `out`; the operator block then covers `scratch[heads..]`. Returns the
+/// head count.
+fn write_heads(order: usize, block: &[i64], scratch: &mut Vec<i64>, out: &mut Vec<u8>) -> usize {
+    scratch.clear();
+    scratch.extend_from_slice(block);
+    diff_in_place(scratch, order);
+    let heads = order.min(block.len());
+    for &h in &scratch[..heads] {
+        write_varint_i64(out, h);
+    }
+    heads
 }
 
 #[cfg(test)]
@@ -248,6 +332,64 @@ mod tests {
             vec![3, -2, 0]
         );
         assert!(Ts2DiffEncoding::<pfor::BpCodec>::deltas(&[42]).is_empty());
+    }
+
+    /// Operator delta that poisons [`PanicOnPoison`].
+    const POISON: i64 = (1 << 40) + 1;
+
+    /// Varint block operator that panics on any block holding [`POISON`].
+    struct PanicOnPoison;
+
+    impl IntPacker for PanicOnPoison {
+        fn name(&self) -> &'static str {
+            "TS2DIFF-PANIC-MOCK-TEST"
+        }
+        fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
+            assert!(!values.contains(&POISON), "poison reached the operator");
+            write_varint(out, values.len() as u64);
+            for &v in values {
+                write_varint_i64(out, v);
+            }
+        }
+        fn decode(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeResult<()> {
+            for _ in 0..read_varint(buf, pos)? {
+                out.push(read_varint_i64(buf, pos)?);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn parallel_encode_contains_operator_panic_with_rollback() {
+        // The jump at index 2500 makes delta 2500 the poison: block
+        // 2500 / 512 = 4, away from the block's head.
+        let values: Vec<i64> = (0..4000)
+            .map(|i| if i >= 2500 { i + (1 << 40) } else { i })
+            .collect();
+        let enc = Ts2DiffEncoding::with_block_size(PanicOnPoison, 512);
+        for threads in [1, 2, 4] {
+            let mut out = vec![0xAB, 0xCD, 0xEF];
+            assert_eq!(
+                enc.encode_parallel(&values, threads, &mut out),
+                Err(EncodeError::WorkerPanicked { block: 4 }),
+                "threads={threads}"
+            );
+            assert_eq!(out, [0xAB, 0xCD, 0xEF], "rolled back (threads={threads})");
+        }
+        // Clean input still encodes, identically to `encode`, and decodes.
+        let clean: Vec<i64> = (0..4000).collect();
+        let mut seq = Vec::new();
+        enc.encode(&clean, &mut seq);
+        for threads in [1, 2, 4] {
+            let mut par = Vec::new();
+            enc.encode_parallel(&clean, threads, &mut par)
+                .expect("clean input");
+            assert_eq!(par, seq, "threads={threads}");
+        }
+        let mut pos = 0;
+        let mut out = Vec::new();
+        enc.decode(&seq, &mut pos, &mut out).expect("decode");
+        assert_eq!(out, clean);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 pub mod crc;
 
-use bitpack::error::DecodeError;
+use bitpack::error::{DecodeError, EncodeError};
 use bitpack::zigzag::{read_len_bounded, read_varint, write_varint};
 use crc::crc32;
 
@@ -87,11 +87,20 @@ pub enum TsFileError {
     /// A header field or chunk payload failed to decode; carries the
     /// typed decoder error from the codec stack unchanged.
     Decode(DecodeError),
+    /// A parallel encode failed; carries the block driver's typed error
+    /// (a contained codec panic) unchanged. No chunk was written.
+    Encode(EncodeError),
 }
 
 impl From<DecodeError> for TsFileError {
     fn from(e: DecodeError) -> Self {
         TsFileError::Decode(e)
+    }
+}
+
+impl From<EncodeError> for TsFileError {
+    fn from(e: EncodeError) -> Self {
+        TsFileError::Encode(e)
     }
 }
 
@@ -113,6 +122,7 @@ impl fmt::Display for TsFileError {
                 "series {name:?} has no exact decimal scaling; store pre-scaled integers instead"
             ),
             Self::Decode(e) => write!(f, "decode failed: {e}"),
+            Self::Encode(e) => write!(f, "encode failed: {e}"),
         }
     }
 }
@@ -325,8 +335,10 @@ impl TsFileWriter {
     /// block encodes (and therefore the solver searches) across up to
     /// `threads` worker threads via [`Pipeline::encode_parallel`]. The
     /// chunk bytes are identical to [`add_int_series`](Self::add_int_series);
-    /// only the wall-clock differs. Store compaction uses this to
-    /// re-solve merged series without serializing on one core.
+    /// only the wall-clock differs. Store seals and compaction use this to
+    /// re-solve merged series without serializing on one core. A codec
+    /// panic inside the encode is contained by the block driver and
+    /// returned as [`TsFileError::Encode`], with no chunk added.
     pub fn add_int_series_parallel(
         &mut self,
         name: &str,
@@ -338,7 +350,7 @@ impl TsFileWriter {
         let mut payload = Vec::new();
         encoding
             .pipeline()
-            .encode_parallel(values, threads, &mut payload);
+            .encode_parallel(values, threads, &mut payload)?;
         self.add_chunk(name, TYPE_INT, None, encoding, values.len(), &payload);
         Ok(())
     }
@@ -1587,6 +1599,16 @@ mod tests {
                 .unwrap();
             assert_eq!(par.finish(), seq_bytes, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn encode_errors_convert_and_display() {
+        let e = TsFileError::from(EncodeError::WorkerPanicked { block: 3 });
+        assert_eq!(
+            e,
+            TsFileError::Encode(EncodeError::WorkerPanicked { block: 3 })
+        );
+        assert!(e.to_string().starts_with("encode failed: "), "{e}");
     }
 
     #[test]

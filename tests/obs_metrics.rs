@@ -9,7 +9,6 @@
 
 use bitpack::codec::{decode_blocks, encode_blocks_parallel};
 use bitpack::zigzag::write_varint;
-use bos::{BosCodec, SolverKind};
 use encodings::PackerKind;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -198,19 +197,7 @@ proptest! {
         }
         let _guard = obs_lock();
         for kind in PackerKind::ALL {
-            // `PackerKind::build` returns a non-Sync box; the parallel
-            // driver wants `Sync`, so dispatch to the concrete codecs.
-            match kind {
-                PackerKind::Bp => check(&pfor::BpCodec::new(), &values, block)?,
-                PackerKind::Pfor => check(&pfor::PforCodec::new(), &values, block)?,
-                PackerKind::NewPfor => check(&pfor::NewPforCodec::new(), &values, block)?,
-                PackerKind::OptPfor => check(&pfor::OptPforCodec::new(), &values, block)?,
-                PackerKind::FastPfor => check(&pfor::FastPforCodec::new(), &values, block)?,
-                PackerKind::SimplePfor => check(&pfor::SimplePforCodec::new(), &values, block)?,
-                PackerKind::BosV => check(&BosCodec::new(SolverKind::Value), &values, block)?,
-                PackerKind::BosB => check(&BosCodec::new(SolverKind::BitWidth), &values, block)?,
-                PackerKind::BosM => check(&BosCodec::new(SolverKind::Median), &values, block)?,
-            }
+            check(&kind.build(), &values, block)?;
         }
     }
 }
@@ -265,4 +252,54 @@ fn read_path_meters_agree_with_encode_meters() {
         2,
         "one span per chunk read"
     );
+}
+
+/// Store compactions encode through the shared block driver: merging a
+/// multi-block series at `threads: 2` dispatches one parallel job per
+/// series and leaves its dispatch and join on the trail.
+#[test]
+fn store_compaction_goes_through_the_parallel_driver() {
+    if !obs::enabled() {
+        return; // feature off: nothing to meter
+    }
+    let _guard = obs_lock();
+    obs::trail::set_recording(true);
+    let dir = std::env::temp_dir().join(format!("bos_obs_compact_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = store::StoreOptions {
+        rotate_records: 1500,
+        compact_min_inputs: 2,
+        compact_small_records: 1 << 20,
+        threads: 2,
+        ..store::StoreOptions::default()
+    };
+    let mut store = store::Store::create(&dir, opts).expect("create");
+    let values: Vec<i64> = (0..3000i64).map(|i| 1_000 + (i * 7919) % 97).collect();
+    for half in values.chunks(1500) {
+        store.append("s", half).expect("append seals one file");
+    }
+
+    obs::trail::drain();
+    let before = obs::snapshot();
+    store
+        .compact()
+        .expect("compact")
+        .expect("two small files merge");
+    let after = obs::snapshot();
+    let trail = obs::trail::drain();
+    assert_eq!(store.read_series("s").expect("read"), values);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let grew = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(grew("driver.parallel.jobs"), 1, "one multi-block series");
+    assert_eq!(grew("driver.parallel.workers"), 2);
+    let events = |label: &str| {
+        trail
+            .events
+            .iter()
+            .filter(|e| e.event.label() == label)
+            .count()
+    };
+    assert_eq!(events("trail.driver_dispatch"), 1);
+    assert_eq!(events("trail.driver_join"), 1);
 }

@@ -151,6 +151,11 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
     }
 
     /// Decodes a series produced by [`encode`](Self::encode) (any order).
+    ///
+    /// Each block decodes straight into `out`: the heads are pushed, the
+    /// operator appends the differences behind them, and the block is
+    /// undiffed in place. On error `out` holds exactly the blocks that
+    /// decoded whole before it.
     pub fn decode(&self, buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> DecodeResult<()> {
         let n = read_varint(buf, pos)? as usize;
         if n > bitpack::MAX_BLOCK_VALUES {
@@ -165,26 +170,41 @@ impl<P: IntPacker> Ts2DiffEncoding<P> {
             return Err(DecodeError::BadModeByte { mode: order as u8 });
         }
         out.reserve(n);
-        let mut scratch = Vec::new();
         let mut produced = 0usize;
         while produced < n {
             let len = (n - produced).min(self.block_size);
-            let heads = order.min(len);
-            scratch.clear();
-            for _ in 0..heads {
-                scratch.push(read_varint_i64(buf, pos)?);
+            let start = out.len();
+            if let Err(e) = self.decode_block(buf, pos, order, len, out) {
+                out.truncate(start);
+                return Err(e);
             }
-            self.packer.decode(buf, pos, &mut scratch)?;
-            if scratch.len() != len {
-                return Err(DecodeError::LengthMismatch {
-                    expected: len,
-                    got: scratch.len(),
-                });
-            }
-            undiff_in_place(&mut scratch, order);
-            out.extend_from_slice(&scratch);
             produced += len;
         }
+        Ok(())
+    }
+
+    /// Appends one decoded block of `len` values to `out`.
+    fn decode_block(
+        &self,
+        buf: &[u8],
+        pos: &mut usize,
+        order: usize,
+        len: usize,
+        out: &mut Vec<i64>,
+    ) -> DecodeResult<()> {
+        let start = out.len();
+        for _ in 0..order.min(len) {
+            out.push(read_varint_i64(buf, pos)?);
+        }
+        self.packer.decode(buf, pos, out)?;
+        let block = out.get_mut(start..).unwrap_or_default();
+        if block.len() != len {
+            return Err(DecodeError::LengthMismatch {
+                expected: len,
+                got: block.len(),
+            });
+        }
+        undiff_in_place(block, order);
         Ok(())
     }
 
@@ -390,6 +410,112 @@ mod tests {
         let mut out = Vec::new();
         enc.decode(&seq, &mut pos, &mut out).expect("decode");
         assert_eq!(out, clean);
+    }
+
+    /// The scratch-loop decoder [`Ts2DiffEncoding::decode`] replaced:
+    /// each block decodes into its own `Vec`, is undiffed there, and is
+    /// then copied onto `out`. Frozen as the oracle for the differential
+    /// tests below.
+    fn decode_oracle<P: IntPacker>(
+        enc: &Ts2DiffEncoding<P>,
+        buf: &[u8],
+        pos: &mut usize,
+        out: &mut Vec<i64>,
+    ) -> DecodeResult<()> {
+        let n = read_varint(buf, pos)? as usize;
+        if n > bitpack::MAX_BLOCK_VALUES {
+            return Err(DecodeError::CountOverflow { claimed: n as u64 });
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        let order = *buf.get(*pos).ok_or(DecodeError::Truncated)? as usize;
+        *pos += 1;
+        if order > MAX_ORDER {
+            return Err(DecodeError::BadModeByte { mode: order as u8 });
+        }
+        out.reserve(n);
+        let mut scratch = Vec::new();
+        let mut produced = 0usize;
+        while produced < n {
+            let len = (n - produced).min(enc.block_size);
+            let heads = order.min(len);
+            scratch.clear();
+            for _ in 0..heads {
+                scratch.push(read_varint_i64(buf, pos)?);
+            }
+            enc.packer.decode(buf, pos, &mut scratch)?;
+            if scratch.len() != len {
+                return Err(DecodeError::LengthMismatch {
+                    expected: len,
+                    got: scratch.len(),
+                });
+            }
+            undiff_in_place(&mut scratch, order);
+            out.extend_from_slice(&scratch);
+            produced += len;
+        }
+        Ok(())
+    }
+
+    /// Decodes `buf` with the shipping decoder and the oracle, both
+    /// appending behind the same non-empty prefix, and requires the same
+    /// result, cursor and output.
+    fn assert_matches_oracle<P: IntPacker>(enc: &Ts2DiffEncoding<P>, buf: &[u8], what: &str) {
+        let (mut pos, mut want_pos) = (0, 0);
+        let (mut out, mut want) = (vec![-1i64, 2], vec![-1i64, 2]);
+        let got = enc.decode(buf, &mut pos, &mut out);
+        let expected = decode_oracle(enc, buf, &mut want_pos, &mut want);
+        assert_eq!(got, expected, "{what}: result");
+        assert_eq!(pos, want_pos, "{what}: cursor");
+        assert_eq!(out, want, "{what}: values");
+    }
+
+    const BLOCK_SIZES: [usize; 3] = [2, 7, 1024];
+
+    #[test]
+    fn decode_matches_oracle_on_fig10_data() {
+        for d in datasets::all_datasets(600) {
+            let values = d.as_scaled_ints();
+            for kind in PackerKind::ALL {
+                for block in BLOCK_SIZES {
+                    for order in 0..=MAX_ORDER {
+                        let enc = Ts2DiffEncoding::with_options(kind.build(), block, order);
+                        let mut buf = Vec::new();
+                        enc.encode(&values, &mut buf);
+                        let what =
+                            format!("{} {} block={block} order={order}", d.abbr, kind.label());
+                        assert_matches_oracle(&enc, &buf, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_oracle_on_every_truncation_and_bit_flip() {
+        let sets = datasets::all_datasets(40);
+        let mut case = 0usize;
+        for kind in PackerKind::ALL {
+            for block in BLOCK_SIZES {
+                for order in 0..=MAX_ORDER {
+                    let values = sets[case % sets.len()].as_scaled_ints();
+                    case += 1;
+                    let enc = Ts2DiffEncoding::with_options(kind.build(), block, order);
+                    let mut buf = Vec::new();
+                    enc.encode(&values, &mut buf);
+                    let what = format!("{} block={block} order={order}", kind.label());
+                    for cut in 0..buf.len() {
+                        assert_matches_oracle(&enc, &buf[..cut], &format!("{what} cut={cut}"));
+                    }
+                    for at in 0..buf.len() {
+                        let mut flipped = buf.clone();
+                        flipped[at] ^= 1 << (at % 8);
+                        assert_matches_oracle(&enc, &flipped, &format!("{what} flip={at}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

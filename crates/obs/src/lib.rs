@@ -27,8 +27,10 @@
 //!
 //! Naming scheme (enforced unique by the `obs-label-unique` xtask lint):
 //! dot-separated `layer.subject[.detail]`, e.g. `solver.BOS-B.candidates`,
-//! `codec.BP.blocks_encoded`, `tsfile.crc_verified`, and span names
-//! `solver_search.BOS-M` / `pack_payload.BOS-M` / `tsfile.write_stream`.
+//! `codec.BP.blocks_encoded`, `tsfile.crc_verified`, `store.read.bytes`,
+//! and span names `solver_search.BOS-M` / `pack_payload.BOS-M` /
+//! `tsfile.write_chunk` / `tsfile.write_footer` / `tsfile.read_chunk` /
+//! `store.read_series`.
 //!
 //! Aggregates answer *how much*; the [`trail`] flight recorder answers
 //! *what happened*: per-block provenance events in per-thread ring

@@ -644,7 +644,7 @@ fn cmd_store(args: &[String]) -> CliResult {
                     q.skipped_chunks
                 );
             }
-            for name in store.series_names().map_err(|e| e.to_string())? {
+            for name in store.series_names() {
                 let scan = store.scan_series(&name).map_err(|e| e.to_string())?;
                 println!(
                     "series {:<24} {:>10} live values{}",

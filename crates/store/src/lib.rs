@@ -19,6 +19,13 @@
 //! intact orphans, deleting committed-dead leftovers — and routes
 //! damaged files through [`TsFileReader::open_salvage`] into a typed
 //! quarantine instead of failing the open.
+//!
+//! Reads go through a per-series chunk index kept in memory: for every
+//! live file, where each series' chunk sits and how many values it
+//! holds. The index is built only from bytes the store has already
+//! verified (the writer's output at seal and compaction, recovery's
+//! verify pass at open), so [`Store::read_series`] costs one positioned
+//! read, one chunk CRC and one decode per file.
 
 pub mod manifest;
 
@@ -28,9 +35,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use tsfile::crc::crc32;
-use tsfile::{EncodingChoice, SkippedChunk, TsFileError, TsFileReader, TsFileWriter};
+use tsfile::{ChunkExtent, EncodingChoice, SkippedChunk, TsFileError, TsFileReader, TsFileWriter};
 
 static FILES_SEALED: obs::CounterHandle = obs::CounterHandle::new("store.files");
 static RECOVERIES: obs::CounterHandle = obs::CounterHandle::new("store.recoveries");
@@ -38,6 +46,7 @@ static QUARANTINED: obs::CounterHandle = obs::CounterHandle::new("store.quaranti
 static COMPACTIONS: obs::CounterHandle = obs::CounterHandle::new("store.compactions");
 static TORN_TAIL_TRUNCATED: obs::CounterHandle =
     obs::CounterHandle::new("store.torn_tail_truncated");
+static READ_BYTES: obs::CounterHandle = obs::CounterHandle::new("store.read.bytes");
 
 /// Suffix of in-flight atomic-write temporaries; recovery sweeps them.
 const TMP_SUFFIX: &str = ".tmp";
@@ -254,12 +263,101 @@ pub struct SeriesScan {
     pub skipped: Vec<SkippedChunk>,
 }
 
+/// One series' chunk in one live file.
+#[derive(Debug, Clone, Copy)]
+struct ChunkLoc {
+    order: u64,
+    id: u64,
+    offset: u64,
+    len: u64,
+    count: u64,
+}
+
+/// Where every series sits in the live files: per series name (stored
+/// once), its chunks in `(order, id)` read order.
+#[derive(Debug, Default)]
+struct ChunkIndex {
+    series: BTreeMap<String, Vec<ChunkLoc>>,
+}
+
+impl ChunkIndex {
+    /// Indexes one chunk of a live file. A name listed twice in one file
+    /// keeps its first chunk, as a footer lookup by name would.
+    fn insert(&mut self, name: &str, loc: ChunkLoc) {
+        let chunks = match self.series.get_mut(name) {
+            Some(chunks) => chunks,
+            None => self.series.entry(name.to_string()).or_default(),
+        };
+        let key = (loc.order, loc.id);
+        let at = chunks.partition_point(|c| (c.order, c.id) < key);
+        if chunks.get(at).is_none_or(|c| c.id != loc.id) {
+            chunks.insert(at, loc);
+        }
+    }
+
+    /// A [`verify_bytes`] callback indexing each chunk of file `id`.
+    fn indexer(&mut self, id: u64, order: u64) -> impl FnMut(&str, Range<usize>, u64) + '_ {
+        move |name, chunk, count| {
+            let loc = ChunkLoc {
+                order,
+                id,
+                offset: chunk.start as u64,
+                len: chunk.len() as u64,
+                count,
+            };
+            self.insert(name, loc);
+        }
+    }
+
+    /// Indexes every chunk of a file the store just wrote.
+    fn insert_file(&mut self, id: u64, order: u64, extents: &[ChunkExtent]) {
+        for e in extents {
+            let loc = ChunkLoc {
+                order,
+                id,
+                offset: e.offset,
+                len: e.len,
+                count: e.count,
+            };
+            self.insert(&e.name, loc);
+        }
+    }
+
+    /// Drops every chunk of one file.
+    fn remove_file(&mut self, id: u64) {
+        self.series.retain(|_, chunks| {
+            chunks.retain(|c| c.id != id);
+            !chunks.is_empty()
+        });
+    }
+
+    /// The chunks of `name` in read order (empty when no live file has it).
+    fn chunks(&self, name: &str) -> &[ChunkLoc] {
+        self.series.get(name).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Reads exactly `buf.len()` bytes of `file` at `offset`.
+#[cfg(unix)]
+fn read_exact_at(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Reads exactly `buf.len()` bytes of `file` at `offset`.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
 /// A directory of TsFiles under a durable manifest.
 pub struct Store {
     dir: PathBuf,
     opts: StoreOptions,
     log: Vec<Record>,
     live: BTreeMap<u64, LiveFile>,
+    index: ChunkIndex,
     quarantine: Vec<QuarantinedFile>,
     active: BTreeMap<String, Vec<i64>>,
     active_values: usize,
@@ -301,23 +399,25 @@ fn append_fsync(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 
 /// Full strict verification of a data file: envelope, footer CRC, and
 /// every chunk payload CRC. Returns the total value count, or `None`
-/// on any damage (including unreadable bytes).
-fn verify_bytes(bytes: &[u8]) -> Option<u64> {
+/// on any damage (including unreadable bytes). Only once the whole file
+/// has verified is `on_chunk` called with each series' name, chunk byte
+/// range and value count — the read index is built from these.
+fn verify_bytes(bytes: &[u8], mut on_chunk: impl FnMut(&str, Range<usize>, u64)) -> Option<u64> {
     let reader = TsFileReader::open(bytes).ok()?;
-    let mut total = 0u64;
-    let names: Vec<(String, u64)> = reader
-        .series()
-        .iter()
-        .map(|i| (i.name.clone(), i.count))
-        .collect();
-    for (name, count) in names {
-        let (_, payload) = reader.chunk_ranges(&name).ok()?;
+    let mut chunks = Vec::with_capacity(reader.series().len());
+    for info in reader.series() {
+        let (chunk, payload) = reader.chunk_ranges(&info.name).ok()?;
         let stored = bytes.get(payload.end..payload.end.checked_add(4)?)?;
         let body = bytes.get(payload)?;
         if crc32(body).to_le_bytes() != stored {
             return None;
         }
-        total = total.saturating_add(count);
+        chunks.push(chunk);
+    }
+    let mut total = 0u64;
+    for (info, chunk) in reader.series().iter().zip(chunks) {
+        total = total.saturating_add(info.count);
+        on_chunk(&info.name, chunk, info.count);
     }
     Some(total)
 }
@@ -352,6 +452,7 @@ impl Store {
             opts,
             log: Vec::new(),
             live: BTreeMap::new(),
+            index: ChunkIndex::default(),
             quarantine: Vec::new(),
             active: BTreeMap::new(),
             active_values: 0,
@@ -396,6 +497,7 @@ impl Store {
             opts,
             log: decoded.records,
             live: BTreeMap::new(),
+            index: ChunkIndex::default(),
             quarantine: Vec::new(),
             active: BTreeMap::new(),
             active_values: 0,
@@ -561,6 +663,7 @@ impl Store {
             writer.add_int_series_parallel(name, values, self.opts.encoding, self.opts.threads)?;
             total += values.len() as u64;
         }
+        let extents = writer.extents();
         let bytes = writer.finish();
         self.durable_write(&self.path_for(id), bytes)?;
         self.append_manifest(Record::FileSealed { id, records: total })?;
@@ -572,6 +675,7 @@ impl Store {
                 records: total,
             },
         );
+        self.index.insert_file(id, id, &extents);
         self.active.clear();
         self.active_values = 0;
         if obs::enabled() {
@@ -600,20 +704,15 @@ impl Store {
         if candidates.len() < self.opts.compact_min_inputs {
             return Ok(None);
         }
-        let mut merged: BTreeMap<String, Vec<i64>> = BTreeMap::new();
-        let mut min_order = u64::MAX;
-        for f in &candidates {
-            let path = self.path_for(f.id);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            let reader = TsFileReader::open(&bytes)?;
-            let names: Vec<String> = reader.series().iter().map(|i| i.name.clone()).collect();
-            for name in names {
-                let values = reader.read_ints(&name)?;
-                merged.entry(name).or_default().extend_from_slice(&values);
-            }
-            min_order = min_order.min(f.order);
-        }
         let inputs: Vec<u64> = candidates.iter().map(|f| f.id).collect();
+        let min_order = candidates.iter().map(|f| f.order).fold(u64::MAX, u64::min);
+        let mut merged: BTreeMap<String, Vec<i64>> = BTreeMap::new();
+        for (name, chunks) in &self.index.series {
+            let mut from_inputs = chunks.iter().filter(|c| inputs.contains(&c.id)).peekable();
+            if from_inputs.peek().is_some() {
+                merged.insert(name.clone(), self.read_chunks(name, from_inputs)?);
+            }
+        }
         let output = self.next_id;
         self.next_id += 1;
         self.append_manifest(Record::CompactionBegin {
@@ -633,6 +732,7 @@ impl Store {
             writer.add_int_series_parallel(name, values, self.opts.encoding, self.opts.threads)?;
             total += values.len() as u64;
         }
+        let extents = writer.extents();
         self.durable_write(&self.path_for(output), writer.finish())?;
         self.append_manifest(Record::CompactionCommit {
             inputs: inputs.clone(),
@@ -647,6 +747,7 @@ impl Store {
         }
         for id in &inputs {
             self.live.remove(id);
+            self.index.remove_file(*id);
         }
         self.live.insert(
             output,
@@ -656,6 +757,7 @@ impl Store {
                 records: total,
             },
         );
+        self.index.insert_file(output, min_order, &extents);
         if obs::enabled() {
             COMPACTIONS.inc();
         }
@@ -677,6 +779,7 @@ impl Store {
         }
         self.append_manifest(Record::RetentionDelete { id })?;
         self.live.remove(&id);
+        self.index.remove_file(id);
         self.remove_file(id)?;
         Ok(true)
     }
@@ -684,16 +787,40 @@ impl Store {
     /// Reads one series strictly across all live files in read order.
     /// Unsealed (buffered) values are not included — only committed
     /// data is visible to reads.
+    ///
+    /// Each live file holding the series costs one positioned read of
+    /// just its chunk, then [`tsfile::decode_chunk`]: header parse, name
+    /// and count against the index, chunk CRC, decode. Damage that
+    /// appeared after open is a typed error, never wrong values.
     pub fn read_series(&self, name: &str) -> Result<Vec<i64>, StoreError> {
-        let mut out = Vec::new();
-        for f in self.live_files() {
-            let path = self.path_for(f.id);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            let reader = TsFileReader::open(&bytes)?;
-            match reader.read_ints(name) {
-                Ok(values) => out.extend_from_slice(&values),
-                Err(TsFileError::NoSuchSeries(_)) => {}
-                Err(e) => return Err(e.into()),
+        let _span = obs::span("store.read_series");
+        self.read_chunks(name, self.index.chunks(name).iter())
+    }
+
+    /// Reads and decodes `chunks` of series `name`, in the order given,
+    /// into one vector sized up front from their counts.
+    fn read_chunks<'a>(
+        &self,
+        name: &str,
+        chunks: impl Iterator<Item = &'a ChunkLoc> + Clone,
+    ) -> Result<Vec<i64>, StoreError> {
+        // A chunk header never claims more than a block's worth of
+        // values, so a larger count can only fail to decode: cap the
+        // reservation rather than trust it.
+        let max = bitpack::MAX_BLOCK_VALUES as u64;
+        let total: u64 = chunks.clone().map(|c| c.count.min(max)).sum();
+        let mut out = Vec::with_capacity(total as usize);
+        let mut buf = Vec::new();
+        for c in chunks {
+            let path = self.path_for(c.id);
+            buf.resize(c.len as usize, 0);
+            let file = fs::File::open(&path).map_err(|e| io_err(&path, e))?;
+            read_exact_at(&file, &mut buf, c.offset).map_err(|e| io_err(&path, e))?;
+            if obs::enabled() {
+                READ_BYTES.add(c.len);
+            }
+            if tsfile::decode_chunk(&buf, name, c.count, &mut out)?.is_some() {
+                return Err(TsFileError::WrongType(name.to_string()).into());
             }
         }
         Ok(out)
@@ -734,26 +861,12 @@ impl Store {
         Ok(scan)
     }
 
-    /// Names of every series across live files and the active buffer.
-    pub fn series_names(&self) -> Result<Vec<String>, StoreError> {
-        let mut names: Vec<String> = Vec::new();
-        for f in self.live_files() {
-            let path = self.path_for(f.id);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            let reader = TsFileReader::open(&bytes)?;
-            for info in reader.series() {
-                if !names.contains(&info.name) {
-                    names.push(info.name.clone());
-                }
-            }
-        }
-        for name in self.active.keys() {
-            if !names.contains(name) {
-                names.push(name.clone());
-            }
-        }
-        names.sort();
-        Ok(names)
+    /// Names of every series across live files and the active buffer,
+    /// sorted. Answered from the chunk index, with no file I/O.
+    pub fn series_names(&self) -> Vec<String> {
+        let names: std::collections::BTreeSet<&String> =
+            self.index.series.keys().chain(self.active.keys()).collect();
+        names.into_iter().cloned().collect()
     }
 
     /// Operator-facing snapshot of the store's shape.
@@ -824,7 +937,10 @@ impl Store {
         if let Some(pending) = state.pending.take() {
             dirty = true;
             let output_ok = match unclaimed.get(&pending.output) {
-                Some(path) => fs::read(path).ok().and_then(|b| verify_bytes(&b)).is_some(),
+                Some(path) => fs::read(path)
+                    .ok()
+                    .and_then(|b| verify_bytes(&b, |_, _, _| {}))
+                    .is_some(),
                 None => false,
             };
             let input_missing = pending.inputs.iter().any(|id| !unclaimed.contains_key(id));
@@ -876,7 +992,7 @@ impl Store {
             let verified = unclaimed
                 .get(&id)
                 .and_then(|path| fs::read(path).ok())
-                .and_then(|b| verify_bytes(&b));
+                .and_then(|b| verify_bytes(&b, |_, _, _| {}));
             match verified {
                 Some(records) => {
                     state.live.insert(id, LiveFile { id, order, records });
@@ -891,7 +1007,9 @@ impl Store {
             }
         }
 
-        // Cross-check every live file against the directory.
+        // Cross-check every live file against the directory. Every file
+        // that verifies here or is adopted below stays live, so this one
+        // verify pass also builds the read index.
         let live_ids: Vec<u64> = state.live.keys().copied().collect();
         for id in live_ids {
             match unclaimed.remove(&id) {
@@ -907,7 +1025,8 @@ impl Store {
                 }
                 Some(path) => {
                     let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-                    if verify_bytes(&bytes).is_none() {
+                    let order = state.live.get(&id).map_or(id, |f| f.order);
+                    if verify_bytes(&bytes, self.index.indexer(id, order)).is_none() {
                         let (recovered_values, skipped_chunks) = salvage_summary(&bytes);
                         state.live.remove(&id);
                         dirty = true;
@@ -938,7 +1057,7 @@ impl Store {
                 continue;
             };
             let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            match verify_bytes(&bytes) {
+            match verify_bytes(&bytes, self.index.indexer(id, id)) {
                 Some(records) => {
                     state.live.insert(
                         id,
@@ -1287,10 +1406,7 @@ mod tests {
         assert_eq!(st.active_series, 1);
         assert_eq!(st.active_values, 3);
         assert!(st.files[0].bytes > 0);
-        assert_eq!(
-            store.series_names().expect("names"),
-            vec!["a".to_string(), "b".to_string()]
-        );
+        assert_eq!(store.series_names(), vec!["a".to_string(), "b".to_string()]);
         let _ = fs::remove_dir_all(&dir);
     }
 

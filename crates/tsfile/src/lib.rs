@@ -254,6 +254,7 @@ pub struct TsFileWriter {
 struct IndexEntry {
     name: String,
     offset: u64,
+    len: u64,
     count: u64,
     is_float: bool,
     encoding: EncodingChoice,
@@ -285,6 +286,7 @@ impl TsFileWriter {
         count: usize,
         payload: &[u8],
     ) {
+        let _span = obs::span("tsfile.write_chunk");
         let offset = self.body.len() as u64;
         self.body.push(CHUNK_TAG);
         write_varint(&mut self.body, name.len() as u64);
@@ -311,6 +313,7 @@ impl TsFileWriter {
         self.index.push(IndexEntry {
             name: name.to_string(),
             offset,
+            len: self.body.len() as u64 - offset,
             count: count as u64,
             is_float: value_type == TYPE_FLOAT,
             encoding,
@@ -428,9 +431,25 @@ impl TsFileWriter {
         Ok(())
     }
 
+    /// Where each chunk added so far sits in the file
+    /// [`finish`](Self::finish) will return, in write order. Chunks never
+    /// move once added, so a caller can index the file before finishing
+    /// it without parsing the bytes back.
+    pub fn extents(&self) -> Vec<ChunkExtent> {
+        self.index
+            .iter()
+            .map(|e| ChunkExtent {
+                name: e.name.clone(),
+                offset: e.offset,
+                len: e.len,
+                count: e.count,
+            })
+            .collect()
+    }
+
     /// Finalizes the file: footer index, footer CRC, trailer.
     pub fn finish(mut self) -> Vec<u8> {
-        let _span = obs::span("tsfile.write_stream");
+        let _span = obs::span("tsfile.write_footer");
         let footer_offset = self.body.len() as u64;
         let mut footer = Vec::new();
         write_varint(&mut footer, self.index.len() as u64);
@@ -465,6 +484,21 @@ pub struct SeriesInfo {
     pub encoding: EncodingChoice,
     /// Byte offset of its chunk.
     pub offset: u64,
+}
+
+/// Where one series' chunk sits in a file: the bytes from its tag
+/// through its CRC, plus the value count the index records for it.
+/// [`decode_chunk`] reads exactly these bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkExtent {
+    /// Series name.
+    pub name: String,
+    /// File offset of the chunk tag.
+    pub offset: u64,
+    /// Chunk length in bytes, CRC included.
+    pub len: u64,
+    /// Number of values.
+    pub count: u64,
 }
 
 /// Why the salvage path could not recover a chunk.
@@ -663,18 +697,57 @@ fn chunk_payload<'d>(
     Ok((payload, crc32(payload) == stored_crc))
 }
 
-/// Decodes a CRC-verified payload and checks the decoded count.
-fn decode_chunk_values(header: &ChunkHeader<'_>, payload: &[u8]) -> Result<Vec<i64>, TsFileError> {
-    let mut out = Vec::with_capacity(header.count);
-    let mut ppos = 0;
-    header
-        .encoding
-        .pipeline()
-        .decode(payload, &mut ppos, &mut out)?;
-    if out.len() != header.count {
+/// Decodes the chunk at the start of `chunk` — the series `name` with
+/// `count` values, as an index lists it — appending its integers to
+/// `out`. Returns the decimals of a float chunk (`None` for integers).
+///
+/// This is the one chunk read path. It parses the header, requires the
+/// header's name and count to match the index, verifies the payload
+/// CRC, decodes, and requires exactly `count` decoded values. `chunk`
+/// may run past the chunk's end; only the chunk's own bytes are read.
+/// On error `out` is left as it was. The CRC check and the decode are
+/// timed together as the `tsfile.read_chunk` span.
+pub fn decode_chunk(
+    chunk: &[u8],
+    name: &str,
+    count: u64,
+    out: &mut Vec<i64>,
+) -> Result<Option<u8>, TsFileError> {
+    let _span = obs::span("tsfile.read_chunk");
+    let header = parse_chunk_header(chunk, 0)?;
+    if header.name != name.as_bytes() {
+        return Err(TsFileError::Corrupt("index/chunk name mismatch"));
+    }
+    let (payload, crc_ok) = chunk_payload(chunk, &header)?;
+    if !crc_ok {
+        if obs::enabled() {
+            CRC_MISMATCH.inc();
+        }
+        return Err(TsFileError::ChecksumMismatch {
+            series: name.to_string(),
+        });
+    }
+    if obs::enabled() {
+        CRC_VERIFIED.inc();
+        CHUNKS_READ.inc();
+    }
+    if header.count as u64 != count {
         return Err(TsFileError::Corrupt("value count mismatch"));
     }
-    Ok(out)
+    let start = out.len();
+    out.reserve(header.count);
+    let mut ppos = 0;
+    let result = match header.encoding.pipeline().decode(payload, &mut ppos, out) {
+        Err(e) => Err(e.into()),
+        Ok(()) if out.len().saturating_sub(start) != header.count => {
+            Err(TsFileError::Corrupt("value count mismatch"))
+        }
+        Ok(()) => Ok(header.decimals),
+    };
+    if result.is_err() {
+        out.truncate(start);
+    }
+    result
 }
 
 /// Maps a chunk-read failure onto the salvage skip taxonomy.
@@ -788,30 +861,16 @@ impl<'a> TsFileReader<'a> {
             .ok_or_else(|| TsFileError::NoSuchSeries(name.to_string()))
     }
 
-    /// Parses a chunk at `info.offset`, verifying its CRC. Returns the
-    /// decimals (floats only) and decoded integers. The CRC check and the
-    /// decode are timed together as the `tsfile.read_chunk` span.
+    /// Reads the chunk at `info.offset` through [`decode_chunk`].
+    /// Returns the decimals (floats only) and decoded integers.
     fn read_chunk(&self, info: &SeriesInfo) -> Result<(Option<u8>, Vec<i64>), TsFileError> {
-        let _span = obs::span("tsfile.read_chunk");
-        let header = parse_chunk_header(self.data, info.offset as usize)?;
-        if header.name != info.name.as_bytes() {
-            return Err(TsFileError::Corrupt("index/chunk name mismatch"));
-        }
-        let (payload, crc_ok) = chunk_payload(self.data, &header)?;
-        if !crc_ok {
-            if obs::enabled() {
-                CRC_MISMATCH.inc();
-            }
-            return Err(TsFileError::ChecksumMismatch {
-                series: info.name.clone(),
-            });
-        }
-        if obs::enabled() {
-            CRC_VERIFIED.inc();
-            CHUNKS_READ.inc();
-        }
-        let values = decode_chunk_values(&header, payload)?;
-        Ok((header.decimals, values))
+        let chunk = self
+            .data
+            .get(info.offset as usize..)
+            .ok_or(TsFileError::Corrupt("chunk header"))?;
+        let mut values = Vec::new();
+        let decimals = decode_chunk(chunk, &info.name, info.count, &mut values)?;
+        Ok((decimals, values))
     }
 
     /// Best-effort byte extent of a series' chunk, clamped to the file.
@@ -1305,6 +1364,56 @@ mod tests {
                 .unwrap();
         }
         (w.finish(), series)
+    }
+
+    #[test]
+    fn writer_extents_feed_decode_chunk() {
+        let mut w = TsFileWriter::new();
+        let series: Vec<Vec<i64>> = (0..3)
+            .map(|s| (0..1500).map(|i| (i * i * 31 + s * 7) % 9973).collect())
+            .collect();
+        for (s, values) in series.iter().enumerate() {
+            w.add_int_series(&format!("s{s}"), values, EncodingChoice::TS2DIFF_BOS)
+                .unwrap();
+        }
+        let extents = w.extents();
+        let bytes = w.finish();
+        let r = TsFileReader::open(&bytes).unwrap();
+        assert_eq!(extents.len(), series.len());
+        for (e, values) in extents.iter().zip(&series) {
+            let (chunk, payload) = r.chunk_ranges(&e.name).unwrap();
+            assert_eq!(chunk, e.offset as usize..(e.offset + e.len) as usize);
+            assert_eq!(e.count, values.len() as u64);
+            let slice = &bytes[chunk.clone()];
+            // Decoding appends behind whatever `out` already holds.
+            let mut out = vec![-9];
+            assert_eq!(decode_chunk(slice, &e.name, e.count, &mut out), Ok(None));
+            assert_eq!(out[1..], values[..]);
+
+            // Index mismatches and damage are typed and leave `out` alone.
+            let mut out = vec![-9];
+            assert_eq!(
+                decode_chunk(slice, "other", e.count, &mut out),
+                Err(TsFileError::Corrupt("index/chunk name mismatch"))
+            );
+            assert_eq!(
+                decode_chunk(slice, &e.name, e.count + 1, &mut out),
+                Err(TsFileError::Corrupt("value count mismatch"))
+            );
+            assert_eq!(
+                decode_chunk(&slice[..slice.len() - 1], &e.name, e.count, &mut out),
+                Err(TsFileError::Corrupt("chunk truncated"))
+            );
+            let mut flipped = slice.to_vec();
+            flipped[payload.start - chunk.start + payload.len() / 2] ^= 0x04;
+            assert_eq!(
+                decode_chunk(&flipped, &e.name, e.count, &mut out),
+                Err(TsFileError::ChecksumMismatch {
+                    series: e.name.clone()
+                })
+            );
+            assert_eq!(out, [-9]);
+        }
     }
 
     #[test]

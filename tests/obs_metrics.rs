@@ -28,7 +28,12 @@ fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Completed-instance count for one span label (0 when never recorded).
 fn span_count(name: &str) -> u64 {
-    obs::snapshot().span(name).map_or(0, |s| s.count)
+    span_count_in(&obs::snapshot(), name)
+}
+
+/// Completed-instance count for one span label in `snap`.
+fn span_count_in(snap: &obs::Snapshot, name: &str) -> u64 {
+    snap.span(name).map_or(0, |s| s.count)
 }
 
 /// Satellite regression (PR 9): toggling the runtime kill-switch between
@@ -302,4 +307,77 @@ fn store_compaction_goes_through_the_parallel_driver() {
     };
     assert_eq!(events("trail.driver_dispatch"), 1);
     assert_eq!(events("trail.driver_join"), 1);
+}
+
+/// A TsFile write is attributed in two spans: `tsfile.write_chunk` per
+/// chunk (framing and chunk CRC, after the encode) and
+/// `tsfile.write_footer` per file. A store read is one
+/// `store.read_series` span whose positional reads, counted by
+/// `store.read.bytes`, are exactly the series' chunk extents — never the
+/// whole files.
+#[test]
+fn write_spans_and_store_read_bytes_are_attributed() {
+    if !obs::enabled() {
+        return; // feature off: nothing to meter
+    }
+    let _guard = obs_lock();
+    let values: Vec<i64> = (0..5_000i64).map(|i| 1_000 + (i * 7919) % 97).collect();
+
+    let before = obs::snapshot();
+    let mut writer = tsfile::TsFileWriter::new();
+    for name in ["a", "b", "c"] {
+        writer
+            .add_int_series(name, &values, tsfile::EncodingChoice::TS2DIFF_BOS)
+            .expect("add series");
+    }
+    writer.finish();
+    let after = obs::snapshot();
+    let grew = |name: &str| span_count_in(&after, name) - span_count_in(&before, name);
+    assert_eq!(grew("tsfile.write_chunk"), 3, "one span per chunk");
+    assert_eq!(grew("tsfile.write_footer"), 1, "one span per file");
+    let chunk_span = after.span("tsfile.write_chunk").expect("recorded");
+    assert_eq!(
+        chunk_span.self_ns, chunk_span.total_ns,
+        "the encode's spans run outside the chunk span"
+    );
+
+    let dir = std::env::temp_dir().join(format!("bos_obs_read_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = store::StoreOptions {
+        rotate_records: 1 << 20,
+        threads: 2,
+        ..store::StoreOptions::default()
+    };
+    let mut store = store::Store::create(&dir, opts).expect("create");
+    for part in values.chunks(2_000) {
+        store.append("s", part).expect("append");
+        store.append("other", part).expect("append");
+        store.flush().expect("flush");
+    }
+    let mut extents = 0u64;
+    let mut file_bytes = 0u64;
+    for f in store.live_files() {
+        let bytes = std::fs::read(store.path_for(f.id)).expect("live file");
+        let (chunk, _) = tsfile::TsFileReader::open(&bytes)
+            .expect("verifies")
+            .chunk_ranges("s")
+            .expect("series s");
+        extents += chunk.len() as u64;
+        file_bytes += bytes.len() as u64;
+    }
+
+    let before = obs::snapshot();
+    assert_eq!(store.read_series("s").expect("read"), values);
+    let after = obs::snapshot();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let grew = |name: &str| span_count_in(&after, name) - span_count_in(&before, name);
+    assert_eq!(grew("store.read_series"), 1);
+    let read = after.counter("store.read.bytes") - before.counter("store.read.bytes");
+    assert!(
+        read <= extents,
+        "read {read} bytes for {extents} bytes of chunks"
+    );
+    assert_eq!(read, extents, "one positioned read per chunk extent");
+    assert!(read < file_bytes, "never the whole files");
 }

@@ -4,15 +4,11 @@
 //!
 //! Pass `--quick` for the tier-1 configuration: only the solver section
 //! (encode sessions + the frozen-reference speedup gate) and the
-//! block-decode gate. It writes no file and skips the
-//! kernel/operator/migration sweeps.
+//! block-decode gate. It writes no file and skips the kernel, operator
+//! and solver-metrics sweeps.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let cfg = bos_bench::harness::Config::from_env();
-    if quick {
-        bos_bench::experiments::throughput::run_quick(&cfg);
-    } else {
-        bos_bench::experiments::throughput::run(&cfg);
-    }
+    bos_bench::experiments::throughput::run(&cfg, quick);
 }

@@ -19,7 +19,7 @@ fn main() {
     exp::prop4_approx::run(&cfg);
     exp::ablation_positions::run(&cfg);
     exp::ext_query_skipping::run(&cfg);
-    exp::throughput::run(&cfg);
+    exp::throughput::run(&cfg, false);
     exp::faults::run(&cfg, false);
     println!("\nAll experiments completed.");
 }

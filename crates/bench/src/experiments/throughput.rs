@@ -1,6 +1,7 @@
-//! PR4 throughput — speed artifact extended with the `obs` metrics layer.
+//! Throughput — the speed artifact for kernels, operators, solvers and
+//! block decode.
 //!
-//! Four layers are measured:
+//! Five sections are measured:
 //!
 //! * **Kernels**: `pack_words`/`unpack_words` (generic scalar) vs the
 //!   width-specialized unrolled kernels vs the fused frame-of-reference
@@ -10,17 +11,11 @@
 //!   blocks — the block size the paper's experiments use. Since PR 4 each
 //!   row carries the full timing spread (min/mean/max/stddev), not just
 //!   the min point estimate.
-//! * **Migration**: the frozen v1 bit-serial PFOR/FastPFOR/SimplePFOR
-//!   baselines (`pfor::v1`, the PR 2 BitReader formats) against their v2
-//!   word-packed replacements, same datasets and block size. The v2 decode
-//!   must be at least [`MIGRATION_GATE`]× the v1 decode per codec.
-//! * **Metrics** (new in PR 4): the `obs` instrumentation itself —
-//!   per-solver candidate/prune tallies and the solver-search vs
-//!   payload-packing wall-time split from the span registry, plus an
-//!   obs-on/obs-off A/B overhead check. With metrics on, the kernel path
-//!   must stay within [`OBS_OVERHEAD_GATE`], and toggling the runtime
-//!   kill-switch must not change a single output byte.
-//!
+//! * **Metrics** (new in PR 4): per-solver candidate/prune tallies and the
+//!   solver-search vs payload-packing wall-time split, read back from the
+//!   `obs` span registry. (The obs-on/obs-off kernel A/B is gated by
+//!   `exp_obs`; byte identity across the kill-switch is pinned by
+//!   `tests/obs_zero_overhead.rs`.)
 //! * **Solvers** (new in PR 8): every [`SolverKind`] encoding the gate
 //!   dataset through a scratch-reusing [`bitpack::EncodeSession`], plus
 //!   the PR 8 acceptance gate — the overhauled BOS-B search must be at
@@ -36,8 +31,9 @@
 //! `--quick` (part of the tier-1 recipe) runs only the solver and
 //! block-decode sections and writes no file. The full run writes
 //! `BENCH_PR4.json` and `BENCH_PR8.json` at the workspace root so later
-//! PRs can diff their numbers against these artifacts (`BENCH_PR3.json`
-//! from an earlier PR is kept untouched). Timings use [`time_best_of`] /
+//! PRs can diff their numbers against these artifacts (`BENCH_PR3.json`,
+//! which holds the PR 3 v1-to-v2 migration numbers, is kept untouched as
+//! history). Timings use [`time_best_of`] /
 //! [`time_stats`] (warmup + min-of-`BOS_REPEATS`) for reproducibility.
 
 use crate::harness::{time_best_of, time_stats, Config, Table, TimeStats};
@@ -50,7 +46,7 @@ use bitpack::BlockCodec;
 use bos::solver::reference;
 use bos::{BitWidthSolver, BosCodec, Solver, SolverConfig, SolverKind, SolverScratch, ValueSolver};
 use datasets::all_datasets;
-use encodings::{IntPacker, PackerKind};
+use encodings::PackerKind;
 use std::path::PathBuf;
 
 /// Block size used for the operator measurements (the paper's default).
@@ -78,10 +74,6 @@ const GATE_WIDTH_FLOOR: f64 = 1.5;
 /// the default config of 30 000 is well above it).
 const GATE_MIN_N: usize = 10_000;
 
-/// Required minimum v2-over-v1 decode speedup (geomean across datasets)
-/// for each migrated codec.
-const MIGRATION_GATE: f64 = 1.5;
-
 /// Required BOS-B search speedup over the frozen pre-overhaul reference
 /// (`bos::solver::reference::bitwidth_solve`) on the gate dataset — the
 /// PR 8 acceptance bar for the seeded-pruning / family-jump overhaul.
@@ -104,13 +96,6 @@ mod frozen_decode;
 
 /// Outlier share of the solver gate dataset: 1 value in 50 (2%).
 const OUTLIER_DIVISOR: u64 = 50;
-
-/// Maximum obs-on / obs-off time ratio allowed on the kernel unpack path
-/// (the instrumentation never touches the kernels, so this documents that
-/// the layer is free where it matters most; ≤ 5% leaves room for timer
-/// noise). Enforced under the same release-build / `BOS_N` conditions as
-/// the other gates.
-const OBS_OVERHEAD_GATE: f64 = 1.05;
 
 struct KernelRow {
     width: u32,
@@ -162,32 +147,6 @@ impl SolverMetricsRow {
         } else {
             self.search_ns as f64 / total as f64
         }
-    }
-}
-
-/// Obs-on vs obs-off A/B results.
-struct Overhead {
-    /// Kernel unpack time ratio (on/off) — gated at [`OBS_OVERHEAD_GATE`].
-    kernel_ratio: f64,
-    /// BOS-M driver encode time ratio (on/off) — reported, not gated (the
-    /// driver path *is* instrumented, but solver cost dominates).
-    driver_encode_ratio: f64,
-    /// Whether the obs-off encode produced byte-identical output.
-    byte_identical: bool,
-}
-
-struct MigrationRow {
-    name: &'static str,
-    dataset: &'static str,
-    decode_v1: f64,
-    decode_v2: f64,
-    bytes_v1: usize,
-    bytes_v2: usize,
-}
-
-impl MigrationRow {
-    fn decode_speedup(&self) -> f64 {
-        self.decode_v2 / self.decode_v1
     }
 }
 
@@ -426,98 +385,6 @@ fn operator_rows(cfg: &Config) -> Vec<OperatorRow> {
         }
     }
     rows
-}
-
-type V1Encode = fn(&[i64], &mut Vec<u8>);
-type V1Decode = fn(&[u8], &mut usize, &mut Vec<i64>) -> bitpack::DecodeResult<()>;
-
-/// The migrated codecs, paired with their frozen v1 implementations.
-fn migrated() -> Vec<(&'static str, V1Encode, V1Decode, Box<dyn IntPacker>)> {
-    vec![
-        (
-            "PFOR",
-            pfor::v1::encode_pfor_v1 as V1Encode,
-            pfor::v1::decode_pfor_v1 as V1Decode,
-            Box::new(pfor::PforCodec::new()),
-        ),
-        (
-            "FASTPFOR",
-            pfor::v1::encode_fastpfor_v1,
-            pfor::v1::decode_fastpfor_v1,
-            Box::new(pfor::FastPforCodec::new()),
-        ),
-        (
-            "SIMPLEPFOR",
-            pfor::v1::encode_simplepfor_v1,
-            pfor::v1::decode_simplepfor_v1,
-            Box::new(pfor::SimplePforCodec::new()),
-        ),
-    ]
-}
-
-fn migration_rows(cfg: &Config) -> Vec<MigrationRow> {
-    let sets = all_datasets(cfg.n);
-    let mut rows = Vec::new();
-    for (name, enc_v1, dec_v1, codec) in migrated() {
-        for dataset in &sets {
-            let ints = dataset.as_scaled_ints();
-            let blocks = ints.len().div_ceil(BLOCK).max(1);
-
-            let mut buf_v1 = Vec::new();
-            for block in ints.chunks(BLOCK) {
-                enc_v1(block, &mut buf_v1);
-            }
-            let mut out = Vec::new();
-            let (_, v1_ns) = time_best_of(cfg.repeats, || {
-                out.clear();
-                let mut pos = 0;
-                for _ in 0..blocks {
-                    dec_v1(&buf_v1, &mut pos, &mut out).expect("v1 decode");
-                }
-            });
-            assert_eq!(out, ints, "{name} v1 roundtrip on {}", dataset.abbr);
-
-            let mut buf_v2 = Vec::new();
-            for block in ints.chunks(BLOCK) {
-                codec.encode(block, &mut buf_v2);
-            }
-            let (_, v2_ns) = time_best_of(cfg.repeats, || {
-                out.clear();
-                let mut pos = 0;
-                for _ in 0..blocks {
-                    codec
-                        .decode(&buf_v2, &mut pos, &mut out)
-                        .expect("v2 decode");
-                }
-            });
-            assert_eq!(out, ints, "{name} v2 roundtrip on {}", dataset.abbr);
-
-            rows.push(MigrationRow {
-                name,
-                dataset: dataset.abbr,
-                decode_v1: vps(ints.len(), v1_ns),
-                decode_v2: vps(ints.len(), v2_ns),
-                bytes_v1: buf_v1.len(),
-                bytes_v2: buf_v2.len(),
-            });
-        }
-    }
-    rows
-}
-
-/// Geomean decode speedup per codec, in [`migrated`] order.
-fn migration_summary(rows: &[MigrationRow]) -> Vec<(&'static str, f64)> {
-    let mut out = Vec::new();
-    for (name, ..) in migrated() {
-        let per: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.name == name)
-            .map(MigrationRow::decode_speedup)
-            .collect();
-        let geomean = (per.iter().map(|s| s.ln()).sum::<f64>() / per.len() as f64).exp();
-        out.push((name, geomean));
-    }
-    out
 }
 
 /// The paper solvers (plus the PR 8 adaptive ladder) driven through the
@@ -833,71 +700,6 @@ fn solver_section(cfg: &Config, write_artifact: bool) {
     println!("Wrote {}", path.display());
 }
 
-/// A/B comparison with the runtime kill-switch: kernel unpack and BOS-M
-/// driver encode timed obs-on vs obs-off, plus the byte-identity check.
-/// `None` when the `obs` feature is compiled out (nothing to toggle).
-fn overhead_check(cfg: &Config) -> Option<Overhead> {
-    if !obs::enabled() {
-        return None;
-    }
-    // Kernel path: width-13 unpack, the same shape the speedup gate times.
-    let deltas = masked_values(cfg.n, 13);
-    let mut packed = Vec::new();
-    pack_words_unrolled(&deltas, 13, &mut packed);
-    let mut out = Vec::new();
-    let mut time_unpack = |repeats| {
-        let (_, ns) = time_best_of(repeats, || {
-            out.clear();
-            unpack_words_unrolled(&packed, deltas.len(), 13, &mut out).expect("unpack");
-        });
-        ns
-    };
-    // Alternate on/off rounds and keep the per-state minimum: the paths
-    // under test run in hundreds of microseconds, so a single ordered
-    // A-then-B measurement confounds the toggle with scheduler/cache
-    // drift and can misreport the ratio by tens of percent.
-    let mut kernel_on = f64::MAX;
-    let mut kernel_off = f64::MAX;
-    for _ in 0..3 {
-        obs::set_enabled(true);
-        kernel_on = kernel_on.min(time_unpack(cfg.repeats));
-        obs::set_enabled(false);
-        kernel_off = kernel_off.min(time_unpack(cfg.repeats));
-    }
-    obs::set_enabled(true);
-
-    // Driver path: BOS-M through the instrumented parallel driver (single
-    // thread, so only the metering itself differs between runs).
-    let sets = all_datasets(cfg.n);
-    let ints = sets.first().expect("datasets nonempty").as_scaled_ints();
-    let codec = BosCodec::new(SolverKind::Median);
-    let mut buf_on = Vec::new();
-    let mut buf_off = Vec::new();
-    let mut driver_on = f64::MAX;
-    let mut driver_off = f64::MAX;
-    for _ in 0..3 {
-        obs::set_enabled(true);
-        let (_, ns) = time_best_of(cfg.repeats, || {
-            buf_on.clear();
-            encode_blocks_parallel(&codec, &ints, BLOCK, 1, &mut buf_on).expect("encode");
-        });
-        driver_on = driver_on.min(ns);
-        obs::set_enabled(false);
-        let (_, ns) = time_best_of(cfg.repeats, || {
-            buf_off.clear();
-            encode_blocks_parallel(&codec, &ints, BLOCK, 1, &mut buf_off).expect("encode");
-        });
-        driver_off = driver_off.min(ns);
-    }
-    obs::set_enabled(true);
-
-    Some(Overhead {
-        kernel_ratio: kernel_on / kernel_off.max(1.0),
-        driver_encode_ratio: driver_on / driver_off.max(1.0),
-        byte_identical: buf_on == buf_off,
-    })
-}
-
 fn fmt_mvps(v: f64) -> String {
     format!("{:.1}", v / 1e6)
 }
@@ -920,9 +722,7 @@ fn render_json(
     cfg: &Config,
     kernels: &[KernelRow],
     operators: &[OperatorRow],
-    migration: &[MigrationRow],
     metrics: &[SolverMetricsRow],
-    overhead: Option<&Overhead>,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -981,34 +781,6 @@ fn render_json(
         ));
     }
     s.push_str("  ],\n");
-    s.push_str("  \"migration\": [\n");
-    for (i, r) in migration.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"dataset\": \"{}\", \"decode_v1\": {}, \
-             \"decode_v2\": {}, \"decode_speedup\": {}, \"bytes_v1\": {}, \
-             \"bytes_v2\": {} }}{}\n",
-            r.name,
-            r.dataset,
-            jnum(r.decode_v1),
-            jnum(r.decode_v2),
-            format_args!("{:.2}", r.decode_speedup()),
-            r.bytes_v1,
-            r.bytes_v2,
-            if i + 1 < migration.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let summary = migration_summary(migration);
-    s.push_str("  \"migration_summary\": {\n");
-    s.push_str(&format!("    \"gate\": {MIGRATION_GATE},\n"));
-    for (i, (name, geomean)) in summary.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{name}\": {:.2}{}\n",
-            geomean,
-            if i + 1 < summary.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  },\n");
     s.push_str("  \"metrics\": {\n");
     s.push_str(&format!("    \"obs_enabled\": {},\n", obs::enabled()));
     s.push_str("    \"solvers\": [\n");
@@ -1027,15 +799,7 @@ fn render_json(
             if i + 1 < metrics.len() { "," } else { "" }
         ));
     }
-    s.push_str("    ],\n");
-    match overhead {
-        Some(o) => s.push_str(&format!(
-            "    \"overhead\": {{ \"gate\": {OBS_OVERHEAD_GATE}, \"kernel_ratio\": {:.3}, \
-             \"driver_encode_ratio\": {:.3}, \"byte_identical_runtime_toggle\": {} }}\n",
-            o.kernel_ratio, o.driver_encode_ratio, o.byte_identical
-        )),
-        None => s.push_str("    \"overhead\": null\n"),
-    }
+    s.push_str("    ]\n");
     s.push_str("  }\n");
     s.push_str("}\n");
     s
@@ -1046,26 +810,30 @@ fn output_path() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("BENCH_PR4.json")
 }
 
-/// Runs only the solver and block-decode sections (the tier-1 `--quick`
-/// recipe): per-solver encode throughput, the frozen-reference solver
-/// speedup gate and the block-decode gate — skipping the kernel/operator/
-/// migration sweeps and writing no file, so tier-1 leaves the tree clean.
-pub fn run_quick(cfg: &Config) {
+/// Runs the throughput suite. `quick` (the tier-1 recipe) runs only the
+/// solver and block-decode sections: per-solver encode throughput, the
+/// frozen-reference solver speedup gate and the block-decode gate. It
+/// writes no file, so tier-1 leaves the tree clean. The full run adds the
+/// kernel, operator and solver-metrics sweeps and writes `BENCH_PR4.json`
+/// and `BENCH_PR8.json`.
+pub fn run(cfg: &Config, quick: bool) {
     super::banner(
-        "Solver and block-decode throughput (quick): sessions, pruning and decode gates (values/s)",
+        "Throughput: kernels, operators, solver metrics, solver and decode gates (values/s)",
         cfg,
     );
-    solver_section(cfg, false);
+    if quick {
+        println!("(--quick: kernel, operator and solver-metrics sweeps skipped)");
+        println!();
+    } else {
+        pr4_section(cfg);
+    }
+    solver_section(cfg, !quick);
     decode_section(cfg);
 }
 
-/// Runs every section and writes `BENCH_PR4.json` + `BENCH_PR8.json`.
-pub fn run(cfg: &Config) {
-    super::banner(
-        "PR4 throughput: kernels, operators, migration, and obs metrics (values/s)",
-        cfg,
-    );
-
+/// Runs the kernel, operator and solver-metrics sweeps and writes
+/// `BENCH_PR4.json`.
+fn pr4_section(cfg: &Config) {
     let kernels = kernel_rows(cfg);
     println!("Kernel throughput (million values/s), generic vs unrolled vs fused:");
     let mut table = Table::new([
@@ -1154,45 +922,6 @@ pub fn run(cfg: &Config) {
     table.print();
     println!();
 
-    let migration = migration_rows(cfg);
-    println!("Migration: frozen v1 bit-serial decode vs v2 word-packed decode:");
-    let mut table = Table::new([
-        "codec",
-        "dataset",
-        "v1 decode",
-        "v2 decode",
-        "speedup",
-        "v1 bytes",
-        "v2 bytes",
-    ]);
-    for r in &migration {
-        table.row([
-            r.name.to_string(),
-            r.dataset.to_string(),
-            fmt_mvps(r.decode_v1),
-            fmt_mvps(r.decode_v2),
-            format!("{:.2}", r.decode_speedup()),
-            r.bytes_v1.to_string(),
-            r.bytes_v2.to_string(),
-        ]);
-    }
-    table.print();
-    println!();
-    for (name, geomean) in migration_summary(&migration) {
-        println!("{name}: geomean v2/v1 decode speedup {geomean:.2}x (gate: >= {MIGRATION_GATE}x)");
-        if cfg!(debug_assertions) || cfg.n < GATE_MIN_N {
-            continue; // same noise rationale as the kernel gate above
-        }
-        assert!(
-            geomean >= MIGRATION_GATE,
-            "{name}: v2 decode must be >= {MIGRATION_GATE}x v1, got {geomean:.2}x"
-        );
-    }
-    println!();
-
-    // Overhead A/B first (it flips the kill-switch), then the solver
-    // metrics pass, which resets the registry per solver — order matters.
-    let overhead = overhead_check(cfg);
     let metrics = solver_metrics_rows(cfg);
     if metrics.is_empty() {
         println!("obs feature off: metrics section empty");
@@ -1221,40 +950,9 @@ pub fn run(cfg: &Config) {
         table.print();
         println!();
     }
-    if let Some(o) = &overhead {
-        println!(
-            "obs overhead: kernel unpack on/off {:.3}x (gate: <= {OBS_OVERHEAD_GATE}x), \
-             BOS-M driver encode on/off {:.3}x, byte-identical across toggle: {}",
-            o.kernel_ratio, o.driver_encode_ratio, o.byte_identical
-        );
-        assert!(
-            o.byte_identical,
-            "toggling the obs kill-switch must not change encoded bytes"
-        );
-        if !cfg!(debug_assertions) && cfg.n >= GATE_MIN_N {
-            assert!(
-                o.kernel_ratio <= OBS_OVERHEAD_GATE,
-                "obs-on kernel unpack must stay within {OBS_OVERHEAD_GATE}x of obs-off, \
-                 got {:.3}x",
-                o.kernel_ratio
-            );
-        }
-        println!();
-    }
-
-    let json = render_json(
-        cfg,
-        &kernels,
-        &operators,
-        &migration,
-        &metrics,
-        overhead.as_ref(),
-    );
+    let json = render_json(cfg, &kernels, &operators, &metrics);
     let path = output_path();
     std::fs::write(&path, &json).expect("write BENCH_PR4.json");
     println!("Wrote {}", path.display());
     println!();
-
-    solver_section(cfg, true);
-    decode_section(cfg);
 }

@@ -195,7 +195,8 @@ pub trait BlockCodec {
     /// Method label used in experiment tables ("PFOR", "NEWPFOR", …).
     ///
     /// Labels must be unique across the workspace (bench tables key on
-    /// them); the `codec-label-unique` xtask lint enforces this.
+    /// them); the `codec_labels_are_pairwise_distinct` test in
+    /// `encodings` checks every shipped codec.
     fn name(&self) -> &'static str;
 
     /// Appends one encoded block to `out`.

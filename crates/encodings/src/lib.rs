@@ -137,6 +137,32 @@ mod tests {
     }
 
     #[test]
+    fn codec_labels_are_pairwise_distinct() {
+        // Bench tables, BENCH_*.json artifacts and TsFile metadata key rows
+        // on `name()`, so two codecs sharing a label would merge their rows.
+        // The BOS operators of `PackerKind::ALL` are aliases of solver kinds,
+        // so they must reuse one of those labels rather than add their own.
+        let solver_labels: Vec<&str> = SolverKind::ALL
+            .iter()
+            .map(|&k| BosCodec::new(k).name())
+            .collect();
+        let mut labels = solver_labels.clone();
+        for kind in PackerKind::ALL {
+            let name = kind.build().name();
+            if matches!(kind, PackerKind::BosV | PackerKind::BosB | PackerKind::BosM) {
+                assert!(solver_labels.contains(&name), "{kind:?} label {name:?}");
+            } else {
+                labels.push(name);
+            }
+        }
+        for (i, a) in labels.iter().enumerate() {
+            for b in &labels[i + 1..] {
+                assert_ne!(a, b, "codec label used twice in {labels:?}");
+            }
+        }
+    }
+
+    #[test]
     fn bos_packers_beat_bp_on_two_sided_outliers() {
         let values: Vec<i64> = (0..2048)
             .map(|i| match i % 64 {

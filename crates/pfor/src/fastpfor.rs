@@ -7,8 +7,8 @@
 //! are packed once at the end of the stream. Exception positions are
 //! single bytes (< 128).
 //!
-//! Format v2 layout (word-packed, PR 3; the frozen v1 bit-serial layout
-//! lives in [`crate::v1`]):
+//! Format v2 layout (word-packed since PR 3; it replaced the bit-serial
+//! v1 layout):
 //! `varint n · u8 version(2) · zigzag min ·
 //!  per sub-block [u8 b · u8 maxbits · u8 n_exc · n_exc position bytes ·
 //!                 word-packed len×b slot stream] ·
@@ -265,11 +265,14 @@ mod tests {
 
     #[test]
     fn v1_payload_rejected() {
-        let values: Vec<i64> = (0..400)
-            .map(|i| if i % 37 == 0 { 1 << 41 } else { i % 9 })
-            .collect();
-        let mut v1 = Vec::new();
-        crate::v1::encode_fastpfor_v1(&values, &mut v1);
+        // A bit-serial v1 payload of `(0..24)` mod 9 with 2^41 at
+        // positions 5 and 16, as the v1 encoder wrote it (min 0, so the
+        // byte in the version slot is 0).
+        let v1: [u8; 32] = [
+            0x18, 0x00, 0x04, 0x2a, 0x02, 0x05, 0x10, 0x01, 0x23, 0x40, 0x67, 0x80, 0x12, 0x34,
+            0x56, 0x08, 0x01, 0x23, 0x45, 0x26, 0x02, 0x80, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00,
+        ];
         let mut pos = 0;
         let mut out = Vec::new();
         assert_eq!(

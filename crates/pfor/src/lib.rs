@@ -26,9 +26,8 @@
 //! `Err(bitpack::DecodeError)`) instead of panicking on corrupt input.
 //!
 //! Since PR 3 every codec emits the word-packed format v2 ([`FORMAT_V2`])
-//! driven by the `bitpack::unrolled` lane kernels; the frozen bit-serial
-//! v1 reference implementations live in [`v1`] for benchmarking and
-//! rejection tests only.
+//! driven by the `bitpack::unrolled` lane kernels. The bit-serial v1
+//! layout it replaced is no longer written or read.
 //!
 //! Shared trait: [`Codec`] (the workspace-wide
 //! [`bitpack::BlockCodec`](bitpack::codec::BlockCodec), re-exported).
@@ -42,7 +41,6 @@ pub mod newpfor;
 pub mod optpfor;
 pub mod pfor;
 pub mod simplepfor;
-pub mod v1;
 
 pub use bp::BpCodec;
 pub use fastpfor::FastPforCodec;
@@ -58,7 +56,7 @@ pub use bitpack::codec::BlockCodec as Codec;
 
 /// Format version byte written by the word-packed PFOR-family layouts
 /// (PR 3). Decoders reject any other value — in particular the v1
-/// bit-serial payloads of [`v1`] — with
+/// bit-serial payloads, whose zigzag-min byte sits in this slot — with
 /// [`DecodeError::BadModeByte`](bitpack::DecodeError::BadModeByte).
 pub const FORMAT_V2: u8 = 2;
 

@@ -5,8 +5,8 @@
 //! (paper §II-C). Same sub-block structure and width selection as
 //! FastPFOR, one shared Simple8b stream for all exception high bits.
 //!
-//! Format v2 layout (word-packed, PR 3; the frozen v1 bit-serial layout
-//! lives in [`crate::v1`]):
+//! Format v2 layout (word-packed since PR 3; it replaced the bit-serial
+//! v1 layout):
 //! `varint n · u8 version(2) · zigzag min ·
 //! per sub-block [u8 b · u8 n_exc · n_exc position bytes · word-packed
 //! len×b slot stream] · simple8b(all high bits, in stream order)`.
@@ -220,11 +220,14 @@ mod tests {
 
     #[test]
     fn v1_payload_rejected() {
-        let values: Vec<i64> = (0..300)
-            .map(|i| if i % 29 == 0 { 1 << 33 } else { i % 7 })
-            .collect();
-        let mut v1 = Vec::new();
-        crate::v1::encode_simplepfor_v1(&values, &mut v1);
+        // A bit-serial v1 payload of `(0..24)` mod 7 with 2^33 at
+        // positions 5 and 16, as the v1 encoder wrote it (min 0, so the
+        // byte in the version slot is 0).
+        let v1: [u8; 32] = [
+            0x18, 0x00, 0x03, 0x02, 0x05, 0x10, 0x05, 0x38, 0x30, 0x29, 0xcb, 0x81, 0x0e, 0x5c,
+            0x0a, 0x02, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0xf0, 0x00, 0x00, 0x00, 0x40,
+            0x00, 0x00, 0x00, 0xf0,
+        ];
         let mut pos = 0;
         let mut out = Vec::new();
         assert_eq!(

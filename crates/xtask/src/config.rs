@@ -24,13 +24,6 @@ pub struct Config {
     /// Crate source roots (e.g. `crates/bos`) whose public `encode_*`
     /// functions must have decode counterparts and roundtrip tests.
     pub pairing_crates: Vec<String>,
-    /// Files holding the width-dispatch kernel tables (`PACK_LANE` /
-    /// `UNPACK_LANE`), each required to list all 65 widths in order.
-    pub kernel_table_files: Vec<String>,
-    /// Names of the block-codec trait (and its re-exports) whose `name()`
-    /// labels must be unique across the workspace — bench tables and
-    /// persisted artifacts key rows on them.
-    pub codec_label_traits: Vec<String>,
     /// Constructor patterns (`CounterHandle::new`, `obs::span`, ...) whose
     /// string-literal arguments are `obs` metric names; every literal must
     /// be unique across the workspace, or two call sites silently share
@@ -77,8 +70,6 @@ impl Config {
             "no-narrowing-casts",
             "len-read-bounded",
             "encode-decode-pairing",
-            "kernel-table-complete",
-            "codec-label-unique",
             "obs-label-unique",
             "unchecked-arith-in-decode",
             "obs-feature-parity",
@@ -111,7 +102,6 @@ impl Config {
             let key = key.trim();
             let expected_key = match section.as_str() {
                 "encode-decode-pairing" => "crates",
-                "codec-label-unique" => "traits",
                 "obs-label-unique" => "patterns",
                 "error-variant-coverage" => "enums",
                 "trail-event-paired" => "enums",
@@ -161,8 +151,6 @@ impl Config {
                 "no-narrowing-casts" => config.no_narrowing_casts = values,
                 "len-read-bounded" => config.len_read_bounded = values,
                 "encode-decode-pairing" => config.pairing_crates = values,
-                "kernel-table-complete" => config.kernel_table_files = values,
-                "codec-label-unique" => config.codec_label_traits = values,
                 "obs-label-unique" => config.obs_label_patterns = values,
                 "unchecked-arith-in-decode" => config.unchecked_arith = values,
                 "obs-feature-parity" => config.obs_parity_files = values,
@@ -212,12 +200,6 @@ files = []
 [encode-decode-pairing]
 crates = ["crates/bos"]
 
-[kernel-table-complete]
-files = ["k/unrolled.rs"]
-
-[codec-label-unique]
-traits = ["BlockCodec", "Codec"]
-
 [obs-label-unique]
 patterns = ["CounterHandle::new", "obs::span"]
 "#;
@@ -226,18 +208,10 @@ patterns = ["CounterHandle::new", "obs::span"]
         assert_eq!(c.no_indexing, vec!["a/b.rs"]);
         assert!(c.no_narrowing_casts.is_empty());
         assert_eq!(c.pairing_crates, vec!["crates/bos"]);
-        assert_eq!(c.kernel_table_files, vec!["k/unrolled.rs"]);
-        assert_eq!(c.codec_label_traits, vec!["BlockCodec", "Codec"]);
         assert_eq!(
             c.obs_label_patterns,
             vec!["CounterHandle::new", "obs::span"]
         );
-    }
-
-    #[test]
-    fn codec_label_section_requires_traits_key() {
-        assert!(Config::parse("[codec-label-unique]\nfiles = []").is_err());
-        assert!(Config::parse("[codec-label-unique]\ntraits = [\"Codec\"]").is_ok());
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!
 //! - **no-panic / no-indexing / no-narrowing-casts / len-read-bounded /
 //!   unchecked-arith-in-decode** — per-file decode-path hardening rules.
-//! - **encode-decode-pairing / kernel-table-complete /
-//!   codec-label-unique / obs-label-unique** — cross-file structural
-//!   invariants of the codec and obs layers.
+//! - **encode-decode-pairing / obs-label-unique** — cross-file
+//!   structural invariants of the codec and obs layers.
 //! - **obs-feature-parity / error-variant-coverage / join-all-spawns** —
 //!   semantic rules over the item tree (API twin-ness, dead error
 //!   variants, detached threads).

@@ -168,8 +168,6 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
         }
     }
     pairing(root, &ws, config, &mut findings)?;
-    kernel_tables(&ws, config, &mut findings);
-    codec_labels(&ws, config, &mut findings);
     obs_labels(&ws, config, &mut findings);
     obs_parity(&ws, config, &mut findings);
     error_variants(&ws, config, &mut findings);
@@ -296,7 +294,6 @@ fn hygiene(root: &Path, config: &Config, ws: &Workspace, findings: &mut Vec<Find
         ("no-indexing", &config.no_indexing),
         ("no-narrowing-casts", &config.no_narrowing_casts),
         ("len-read-bounded", &config.len_read_bounded),
-        ("kernel-table-complete", &config.kernel_table_files),
         ("unchecked-arith-in-decode", &config.unchecked_arith),
         ("obs-feature-parity", &config.obs_parity_files),
         ("uncovered-ok", &config.uncovered_ok),
@@ -695,105 +692,7 @@ fn operand_right(f: &SourceFile, start: usize) -> Operand {
 }
 
 // ---------------------------------------------------------------------------
-// kernel-table-complete
-// ---------------------------------------------------------------------------
-
-/// The number of bit widths a kernel dispatch table must cover (0..=64).
-const KERNEL_WIDTHS: usize = 65;
-
-/// Rule: the width-dispatch tables in each configured file must name every
-/// specialized kernel, in width order. The tables are required to be plain
-/// 65-entry source literals (not macro-generated) precisely so this check
-/// can read them; a missing or reordered entry would silently route one
-/// width to the wrong kernel.
-fn kernel_tables(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    for rel in &config.kernel_table_files {
-        let Some(f) = ws.get(rel) else { continue };
-        for (table, prefix) in [("PACK_LANE", "pack_w"), ("UNPACK_LANE", "unpack_w")] {
-            check_kernel_table(f, table, prefix, findings);
-        }
-    }
-}
-
-fn check_kernel_table(f: &SourceFile, table: &str, prefix: &str, findings: &mut Vec<Finding>) {
-    let rule = "kernel-table-complete";
-    let mut fail = |line: usize, col: usize, message: String| {
-        findings.push(Finding {
-            file: f.rel.clone(),
-            line,
-            col,
-            rule,
-            message,
-        });
-    };
-    let decl = (0..f.tokens.len())
-        .find(|&i| f.is_ident(i, "const") && f.is_ident(i + 1, table) && f.is_punct(i + 2, b':'));
-    let Some(decl) = decl else {
-        fail(1, 0, format!("no `const {table}:` dispatch table found"));
-        return;
-    };
-    let (line, col) = f.position(decl);
-    // Type: `[Fn; 65]` — the length literal sits right before the `]`.
-    let ty_open = decl + 3;
-    let ty_close = tree::matching(&f.tokens, ty_open, f.tokens.len(), b'[', b']');
-    let Some(ty_close) = ty_close else {
-        fail(line, col, format!("`{table}` is not typed as an array"));
-        return;
-    };
-    let len_ok = ty_close > 0
-        && f.tok(ty_close - 1).map(|t| t.kind) == Some(TokenKind::NumLit)
-        && f.text(ty_close - 1) == "65";
-    if !len_ok {
-        fail(
-            line,
-            col,
-            format!("`{table}` must be declared with length {KERNEL_WIDTHS} (widths 0..=64)"),
-        );
-    }
-    if !f.is_punct(ty_close + 1, b'=') {
-        fail(line, col, format!("`{table}` has no initializer"));
-        return;
-    }
-    let body_open = ty_close + 2;
-    let body_close = tree::matching(&f.tokens, body_open, f.tokens.len(), b'[', b']');
-    let Some(body_close) = body_close else {
-        fail(
-            line,
-            col,
-            format!("`{table}` initializer is not an array literal"),
-        );
-        return;
-    };
-    let entries: Vec<&str> = (body_open + 1..body_close)
-        .filter(|&i| f.tok(i).map(|t| t.kind) == Some(TokenKind::Ident))
-        .map(|i| f.text(i))
-        .collect();
-    if entries.len() != KERNEL_WIDTHS {
-        fail(
-            line,
-            col,
-            format!(
-                "`{table}` covers {} widths, must cover all {KERNEL_WIDTHS} (0..=64)",
-                entries.len()
-            ),
-        );
-        return;
-    }
-    for (w, entry) in entries.iter().enumerate() {
-        let expected = format!("{prefix}{w}");
-        if *entry != expected {
-            fail(
-                line,
-                col,
-                format!("`{table}` entry for width {w} is `{entry}`, expected `{expected}`"),
-            );
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// impl-header helpers (shared by codec-label-unique and obs-feature-parity)
+// impl-header helpers (shared by obs-feature-parity and solver-entry-scratch)
 // ---------------------------------------------------------------------------
 
 /// For an `impl` item: the final segment of the *trait* path (`None` for
@@ -858,91 +757,6 @@ fn shipping_items(f: &SourceFile) -> Vec<&Item> {
         .filter(|(_, in_test)| !in_test)
         .map(|(i, _)| i)
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// codec-label-unique
-// ---------------------------------------------------------------------------
-
-/// Rule: the `name()` labels across every impl of the configured block-codec
-/// traits must be pairwise distinct. Bench tables, BENCH_*.json artifacts,
-/// and tsfile metadata all key on these strings, so two codecs sharing a
-/// label would silently merge their rows.
-fn codec_labels(ws: &Workspace, config: &Config, findings: &mut Vec<Finding>) {
-    if config.codec_label_traits.is_empty() {
-        return;
-    }
-    let mut seen: BTreeMap<String, (String, usize)> = BTreeMap::new();
-    let mut total = 0usize;
-    for f in &ws.files {
-        if f.is_test_file {
-            continue;
-        }
-        for (tok_idx, label) in name_labels(f, &config.codec_label_traits) {
-            total += 1;
-            let (line, col) = f.position(tok_idx);
-            match seen.get(&label) {
-                Some((first_file, first_line)) => findings.push(Finding {
-                    file: f.rel.clone(),
-                    line,
-                    col,
-                    rule: "codec-label-unique",
-                    message: format!(
-                        "codec label {label:?} already used at {first_file}:{first_line}; \
-                         bench tables key on labels, so every `name()` must be distinct"
-                    ),
-                }),
-                None => {
-                    seen.insert(label, (f.rel.clone(), line));
-                }
-            }
-        }
-    }
-    if total == 0 {
-        findings.push(Finding {
-            file: "lint.toml".to_string(),
-            line: 1,
-            col: 0,
-            rule: "codec-label-unique",
-            message: format!(
-                "no `name()` labels found for traits {:?}; the scan is broken or the \
-                 config lists the wrong trait names",
-                config.codec_label_traits
-            ),
-        });
-    }
-}
-
-/// Every string literal inside a `fn name` body of an impl of one of
-/// `traits`, as (token index, label text).
-pub(crate) fn name_labels(f: &SourceFile, traits: &[String]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for item in shipping_items(f) {
-        if item.kind != ItemKind::Impl {
-            continue;
-        }
-        let Some(seg) = impl_trait_segment(f, item) else {
-            continue;
-        };
-        if !traits.contains(&seg) {
-            continue;
-        }
-        for child in &item.children {
-            if child.kind != ItemKind::Fn || child.name.as_deref() != Some("name") {
-                continue;
-            }
-            let Some((b0, b1)) = child.body else { continue };
-            for i in b0..b1 {
-                let Some(t) = f.tok(i) else { break };
-                if t.kind == TokenKind::StrLit {
-                    if let Some(label) = t.str_content(&f.src) {
-                        out.push((i, label.to_string()));
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -2203,63 +2017,7 @@ mod tests { fn t() { let _ = DecodeError::Truncated; } }
         assert!(findings[0].message.contains("was not found"));
     }
 
-    // -- kernel-table-complete --------------------------------------------
-
-    fn table_src(n: usize, prefix: &str) -> String {
-        let entries: Vec<String> = (0..n).map(|w| format!("{prefix}{w}")).collect();
-        format!(
-            "pub const PACK_LANE: [PackFn; 65] = [{}];\n",
-            entries.join(", ")
-        )
-    }
-
-    #[test]
-    fn kernel_table_full_passes_short_and_swapped_fail() {
-        let mut findings = Vec::new();
-        let good = file("crates/x/src/k.rs", &table_src(65, "pack_w"));
-        check_kernel_table(&good, "PACK_LANE", "pack_w", &mut findings);
-        assert!(findings.is_empty(), "{findings:#?}");
-
-        let short = file("crates/x/src/k.rs", &table_src(64, "pack_w"));
-        check_kernel_table(&short, "PACK_LANE", "pack_w", &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("covers 64 widths"));
-
-        findings.clear();
-        let swapped_src = table_src(65, "pack_w").replace("pack_w7, pack_w8", "pack_w8, pack_w7");
-        let swapped = file("crates/x/src/k.rs", &swapped_src);
-        check_kernel_table(&swapped, "PACK_LANE", "pack_w", &mut findings);
-        assert!(findings[0].message.contains("width 7"));
-    }
-
-    // -- codec-label-unique / obs-label-unique ----------------------------
-
-    #[test]
-    fn codec_label_duplicates_and_empty_scan_are_findings() {
-        let a = file(
-            "crates/a/src/lib.rs",
-            "pub struct A;\nimpl BlockCodec for A { fn name(&self) -> &'static str { \"bp\" } }\n",
-        );
-        let b = file(
-            "crates/b/src/lib.rs",
-            "pub struct B;\nimpl BlockCodec for B { fn name(&self) -> &'static str { \"bp\" } }\n",
-        );
-        let config = Config {
-            codec_label_traits: vec!["BlockCodec".to_string()],
-            ..Config::default()
-        };
-        let mut findings = Vec::new();
-        codec_labels(&Workspace::from_files(vec![a, b]), &config, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0]
-            .message
-            .contains("already used at crates/a/src/lib.rs:2"));
-
-        let empty = Workspace::from_files(vec![file("crates/a/src/lib.rs", "fn f() {}")]);
-        findings.clear();
-        codec_labels(&empty, &config, &mut findings);
-        assert!(findings[0].message.contains("no `name()` labels found"));
-    }
+    // -- obs-label-unique ---------------------------------------------------
 
     #[test]
     fn obs_label_duplicates_are_findings_and_runtime_names_skipped() {

@@ -9,8 +9,9 @@
 //!   observability is free where it matters most), and the full BOS-A
 //!   encode pipeline — which *does* emit per-block provenance events —
 //!   must stay within [`PIPELINE_OVERHEAD_GATE`] of the recorder-off time.
-//!   Both A/Bs alternate on/off rounds and keep per-state minima, so
-//!   scheduler and cache drift cannot masquerade as overhead.
+//!   Both A/Bs alternate on/off rounds through [`time_ab`] and gate on
+//!   the median per-round ratio, so scheduler and cache drift cannot
+//!   masquerade as overhead.
 //! * **Transparency**: toggling the recorder must not change a single
 //!   output byte, and re-encoding a fixed input must produce the exact
 //!   same per-label event counts (the trail is deterministic provenance,
@@ -27,7 +28,7 @@
 //! `--quick` runs all of it; it is part of the tier-1 recipe, and writes
 //! no file in that mode.
 
-use crate::harness::{time_best_of, Config};
+use crate::harness::{time_ab, AbTimes, Config};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::unrolled::{pack_words_unrolled, unpack_words_unrolled};
 use bos::{BosCodec, SolverKind};
@@ -51,16 +52,19 @@ const PIPELINE_OVERHEAD_GATE: f64 = 1.10;
 /// timed run is about a microsecond and the ratio is mostly timer noise.
 const GATE_MIN_N: usize = 10_000;
 
-/// Alternating on/off rounds per A/B (min of each state is kept).
-const AB_ROUNDS: usize = 3;
+/// Alternating on/off rounds in the pipeline A/B. One BOS-A encode of
+/// the gate series takes about a millisecond, so the gate rests on the
+/// median of many short rounds rather than on a few long ones.
+const AB_ROUNDS: usize = 15;
 
-/// Extra rounds/repeats floor for the kernel A/B: one unpack run is tens
-/// of microseconds, so the on/off ratio needs more samples than the
-/// millisecond-scale pipeline A/B before the minima converge.
-const KERNEL_AB_ROUNDS: usize = 7;
+/// Alternating on/off rounds in the kernel A/B. One unpack run is tens
+/// of microseconds, so many short rounds keep each on/off pair within a
+/// fraction of a millisecond, where a change of machine load rarely
+/// falls between them.
+const KERNEL_AB_ROUNDS: usize = 31;
 
-/// Minimum timing repetitions per kernel round (see above).
-const KERNEL_MIN_REPEATS: usize = 9;
+/// Minimum timing repetitions per kernel round.
+const KERNEL_MIN_REPEATS: usize = 3;
 
 /// Kernel width used for the unpack A/B (same shape as the PR 2 gate).
 const KERNEL_WIDTH: u32 = 13;
@@ -69,50 +73,36 @@ const KERNEL_WIDTH: u32 = 13;
 /// driver's dispatch/join provenance is part of the counted stream.
 const DETERMINISM_THREADS: usize = 2;
 
-/// One A/B measurement: recorder-on vs recorder-off minima.
-struct AbTimes {
-    on_ns: f64,
-    off_ns: f64,
-}
-
-impl AbTimes {
-    fn ratio(&self) -> f64 {
-        self.on_ns / self.off_ns.max(1.0)
-    }
-}
-
 /// Kernel unpack A/B: neither the metrics layer nor the recorder has a
 /// hook on this path, so the ratio is pure measurement noise — which is
 /// exactly the claim. The off side flips the whole runtime kill-switch
-/// ([`obs::set_enabled`]), which silences metrics and the recorder
-/// together, since recording requires [`obs::enabled`].
+/// ([`obs::set_enabled`]), which silences spans and the recorder
+/// together, since both require [`obs::enabled`]. Counters, gauges and
+/// histograms ignore the switch, but none sits on this path.
 fn kernel_ab(cfg: &Config) -> AbTimes {
     let deltas = masked_values(cfg.n, KERNEL_WIDTH);
     let mut packed = Vec::new();
     pack_words_unrolled(&deltas, KERNEL_WIDTH, &mut packed);
-    let mut out = Vec::new();
-    let repeats = cfg.repeats.max(KERNEL_MIN_REPEATS);
-    let mut time_unpack = || {
-        let (_, ns) = time_best_of(repeats, || {
-            out.clear();
-            unpack_words_unrolled(&packed, deltas.len(), KERNEL_WIDTH, &mut out).expect("unpack");
-        });
-        ns
+    let unpack = |out: &mut Vec<u64>| {
+        out.clear();
+        unpack_words_unrolled(&packed, deltas.len(), KERNEL_WIDTH, out).expect("unpack");
     };
-    let mut on = f64::MAX;
-    let mut off = f64::MAX;
-    for _ in 0..KERNEL_AB_ROUNDS {
-        obs::set_enabled(true);
-        on = on.min(time_unpack());
-        obs::set_enabled(false);
-        off = off.min(time_unpack());
-    }
+    let (mut out_on, mut out_off) = (Vec::new(), Vec::new());
+    let ab = time_ab(
+        KERNEL_AB_ROUNDS,
+        cfg.repeats.max(KERNEL_MIN_REPEATS),
+        || {
+            obs::set_enabled(true);
+            unpack(&mut out_on);
+        },
+        || {
+            obs::set_enabled(false);
+            unpack(&mut out_off);
+        },
+    );
     obs::set_enabled(true);
     obs::trail::drain();
-    AbTimes {
-        on_ns: on,
-        off_ns: off,
-    }
+    ab
 }
 
 /// Full-pipeline A/B: BOS-A (the chattiest solver — it emits a verdict
@@ -120,33 +110,21 @@ fn kernel_ab(cfg: &Config) -> AbTimes {
 /// driver, recorder on vs off, asserting byte-identical output.
 fn pipeline_ab(cfg: &Config, series: &[i64]) -> (AbTimes, bool) {
     let codec = BosCodec::new(SolverKind::Adaptive);
-    let mut buf_on = Vec::new();
-    let mut buf_off = Vec::new();
-    let mut on = f64::MAX;
-    let mut off = f64::MAX;
-    for _ in 0..AB_ROUNDS {
-        obs::trail::set_recording(true);
-        let (_, ns) = time_best_of(cfg.repeats, || {
-            buf_on.clear();
-            encode_blocks_parallel(&codec, series, BLOCK, 1, &mut buf_on).expect("encode");
-        });
-        on = on.min(ns);
-        obs::trail::set_recording(false);
-        let (_, ns) = time_best_of(cfg.repeats, || {
-            buf_off.clear();
-            encode_blocks_parallel(&codec, series, BLOCK, 1, &mut buf_off).expect("encode");
-        });
-        off = off.min(ns);
-    }
+    let encode = |on: bool, buf: &mut Vec<u8>| {
+        obs::trail::set_recording(on);
+        buf.clear();
+        encode_blocks_parallel(&codec, series, BLOCK, 1, buf).expect("encode");
+    };
+    let (mut buf_on, mut buf_off) = (Vec::new(), Vec::new());
+    let ab = time_ab(
+        AB_ROUNDS,
+        cfg.repeats,
+        || encode(true, &mut buf_on),
+        || encode(false, &mut buf_off),
+    );
     obs::trail::set_recording(true);
     obs::trail::drain();
-    (
-        AbTimes {
-            on_ns: on,
-            off_ns: off,
-        },
-        buf_on == buf_off,
-    )
+    (ab, buf_on == buf_off)
 }
 
 /// Per-label event totals from one drained trail.
@@ -228,16 +206,12 @@ fn render_json(
     s.push_str(&format!(
         "  \"kernel\": {{ \"gate\": {KERNEL_OVERHEAD_GATE}, \"on_ns\": {:.0}, \
          \"off_ns\": {:.0}, \"ratio\": {:.3} }},\n",
-        kernel.on_ns,
-        kernel.off_ns,
-        kernel.ratio()
+        kernel.a_ns, kernel.b_ns, kernel.ratio
     ));
     s.push_str(&format!(
         "  \"pipeline\": {{ \"gate\": {PIPELINE_OVERHEAD_GATE}, \"on_ns\": {:.0}, \
          \"off_ns\": {:.0}, \"ratio\": {:.3}, \"byte_identical\": {byte_identical} }},\n",
-        pipeline.on_ns,
-        pipeline.off_ns,
-        pipeline.ratio()
+        pipeline.a_ns, pipeline.b_ns, pipeline.ratio
     ));
     let total: u64 = events.counts.iter().map(|&(_, n)| n).sum();
     s.push_str(&format!(
@@ -284,7 +258,7 @@ pub fn run(cfg: &Config, quick: bool) {
     println!(
         "kernel unpack (w = {KERNEL_WIDTH}): obs on/off {:.3}x \
          (gate: <= {KERNEL_OVERHEAD_GATE}x)",
-        kernel.ratio()
+        kernel.ratio
     );
 
     let series = outlier_series(cfg.n);
@@ -292,7 +266,7 @@ pub fn run(cfg: &Config, quick: bool) {
     println!(
         "BOS-A encode pipeline: recorder on/off {:.3}x (gate: <= \
          {PIPELINE_OVERHEAD_GATE}x), byte-identical across toggle: {byte_identical}",
-        pipeline.ratio()
+        pipeline.ratio
     );
     assert!(
         byte_identical,
@@ -333,16 +307,16 @@ pub fn run(cfg: &Config, quick: bool) {
         println!("(BOS_N < {GATE_MIN_N}: overhead gates reported but not enforced)");
     } else {
         assert!(
-            kernel.ratio() <= KERNEL_OVERHEAD_GATE,
+            kernel.ratio <= KERNEL_OVERHEAD_GATE,
             "obs-on kernel unpack must stay within {KERNEL_OVERHEAD_GATE}x \
              of obs-off, got {:.3}x",
-            kernel.ratio()
+            kernel.ratio
         );
         assert!(
-            pipeline.ratio() <= PIPELINE_OVERHEAD_GATE,
+            pipeline.ratio <= PIPELINE_OVERHEAD_GATE,
             "recorder-on BOS-A pipeline must stay within {PIPELINE_OVERHEAD_GATE}x \
              of recorder-off, got {:.3}x",
-            pipeline.ratio()
+            pipeline.ratio
         );
     }
 

@@ -34,9 +34,11 @@
 //! PRs can diff their numbers against these artifacts (`BENCH_PR3.json`,
 //! which holds the PR 3 v1-to-v2 migration numbers, is kept untouched as
 //! history). Timings use [`time_best_of`] /
-//! [`time_stats`] (warmup + min-of-`BOS_REPEATS`) for reproducibility.
+//! [`time_stats`] (warmup + min-of-`BOS_REPEATS`) for reproducibility;
+//! the two gated A/Bs alternate their sides in rounds through
+//! [`time_ab`].
 
-use crate::harness::{time_best_of, time_stats, Config, Table, TimeStats};
+use crate::harness::{time_ab, time_best_of, time_stats, AbTimes, Config, Table, TimeStats};
 use bitpack::codec::encode_blocks_parallel;
 use bitpack::kernels::{pack_words, unpack_words};
 use bitpack::unrolled::{
@@ -44,7 +46,10 @@ use bitpack::unrolled::{
 };
 use bitpack::BlockCodec;
 use bos::solver::reference;
-use bos::{BitWidthSolver, BosCodec, Solver, SolverConfig, SolverKind, SolverScratch, ValueSolver};
+use bos::{
+    BitWidthSolver, BosCodec, Solution, Solver, SolverConfig, SolverKind, SolverScratch,
+    ValueSolver,
+};
 use datasets::all_datasets;
 use encodings::PackerKind;
 use std::path::PathBuf;
@@ -84,9 +89,14 @@ const SOLVER_SPEEDUP_GATE: f64 = 10.0;
 /// BOS-B and for BOS-M streams alike.
 const DECODE_SPEEDUP_GATE: f64 = 2.0;
 
-/// Alternating shipping/frozen rounds per dataset in the decode A/B (the
-/// minimum of each side is kept).
+/// Alternating frozen/shipping rounds per dataset in the decode A/B.
 const DECODE_AB_ROUNDS: usize = 3;
+
+/// Alternating reference/overhauled rounds in the solver search A/B, one
+/// timed pass per side and round. One overhauled BOS-B pass takes about
+/// a millisecond, so the gate rests on the median of many short
+/// back-to-back pairs rather than on a few long best-of runs.
+const SOLVER_AB_ROUNDS: usize = 15;
 
 /// The frozen bit-serial BOS block decoder: the same source file that
 /// `bos::format` compiles as its `#[cfg(test)]` oracle, so the baseline
@@ -155,16 +165,9 @@ struct DecodeRow {
     solver: &'static str,
     dataset: &'static str,
     values: usize,
-    /// Best frozen bit-serial decode time (ns).
-    reference_ns: f64,
-    /// Best shipping decode time (ns).
-    new_ns: f64,
-}
-
-impl DecodeRow {
-    fn speedup(&self) -> f64 {
-        self.reference_ns / self.new_ns
-    }
+    /// Frozen bit-serial decode (side `a`) against shipping decode
+    /// (side `b`); the ratio is the speedup.
+    ab: AbTimes,
 }
 
 type BlockDecode = fn(&[u8], &mut usize, &mut Vec<i64>) -> bitpack::DecodeResult<()>;
@@ -194,22 +197,19 @@ fn decode_rows(cfg: &Config) -> Vec<DecodeRow> {
             let blocks = ints.len().div_ceil(BLOCK);
             let mut new_out = Vec::with_capacity(ints.len());
             let mut reference_out = Vec::with_capacity(ints.len());
-            let (mut new_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..DECODE_AB_ROUNDS {
-                let (_, ns) = time_best_of(cfg.repeats, || {
-                    decode_stream(bos::decode, &buf, blocks, &mut new_out)
-                });
-                new_ns = new_ns.min(ns);
-                let (_, ns) = time_best_of(cfg.repeats, || {
+            let ab = time_ab(
+                DECODE_AB_ROUNDS,
+                cfg.repeats,
+                || {
                     decode_stream(
                         frozen_decode::decode_block,
                         &buf,
                         blocks,
                         &mut reference_out,
                     )
-                });
-                reference_ns = reference_ns.min(ns);
-            }
+                },
+                || decode_stream(bos::decode, &buf, blocks, &mut new_out),
+            );
             assert_eq!(new_out, ints, "{kind} decode on {}", dataset.abbr);
             assert_eq!(
                 reference_out, ints,
@@ -220,8 +220,7 @@ fn decode_rows(cfg: &Config) -> Vec<DecodeRow> {
                 solver: kind.label(),
                 dataset: dataset.abbr,
                 values: ints.len(),
-                reference_ns,
-                new_ns,
+                ab,
             });
         }
     }
@@ -234,16 +233,16 @@ fn decode_section(cfg: &Config) {
     let rows = decode_rows(cfg);
     println!(
         "BOS block decode vs frozen bit-serial decoder (million values/s, \
-         1024-value blocks, identical values):"
+         1024-value blocks, identical values; speedup = median per-round ratio):"
     );
     let mut table = Table::new(["solver", "dataset", "frozen", "shipping", "speedup"]);
     for r in &rows {
         table.row([
             r.solver.to_string(),
             r.dataset.to_string(),
-            fmt_mvps(vps(r.values, r.reference_ns)),
-            fmt_mvps(vps(r.values, r.new_ns)),
-            format!("{:.2}x", r.speedup()),
+            fmt_mvps(vps(r.values, r.ab.a_ns)),
+            fmt_mvps(vps(r.values, r.ab.b_ns)),
+            format!("{:.2}x", r.ab.ratio),
         ]);
     }
     table.print();
@@ -251,7 +250,7 @@ fn decode_section(cfg: &Config) {
         let speedups: Vec<f64> = rows
             .iter()
             .filter(|r| r.solver == solver)
-            .map(DecodeRow::speedup)
+            .map(|r| r.ab.ratio)
             .collect();
         let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
         println!(
@@ -446,16 +445,9 @@ struct SolverEncodeRow {
 /// Frozen-reference vs overhauled search timing for one solver.
 struct SolverSpeedupRow {
     name: &'static str,
-    /// Per-pass wall time of the frozen pre-overhaul search (ns).
-    reference_ns: f64,
-    /// Per-pass wall time of the overhauled search (ns).
-    new_ns: f64,
-}
-
-impl SolverSpeedupRow {
-    fn speedup(&self) -> f64 {
-        self.reference_ns / self.new_ns.max(1.0)
-    }
+    /// Per-pass wall time of the frozen pre-overhaul search (side `a`)
+    /// against the overhauled search (side `b`); the ratio is the speedup.
+    ab: AbTimes,
 }
 
 /// Deterministic solver gate dataset: tight center (uniform `[0, 200)`)
@@ -520,66 +512,54 @@ fn solver_encode_rows(cfg: &Config, series: &[i64]) -> Vec<SolverEncodeRow> {
 }
 
 /// Times the frozen pre-overhaul searches against the overhauled solvers
-/// on the gate dataset, block by block, asserting the `Solution`s stay
-/// bit-identical — the same-run comparison that carries the PR 8 claim
-/// (both sides see the same machine, build, and data).
-fn solver_speedup_rows(cfg: &Config, series: &[i64]) -> Vec<SolverSpeedupRow> {
+/// on the gate dataset, block by block, in interleaved rounds
+/// ([`time_ab`]), asserting the `Solution`s stay bit-identical — the
+/// same-run comparison that carries the PR 8 claim (both sides see the
+/// same machine, build, data and scheduler noise).
+fn solver_speedup_rows(series: &[i64]) -> Vec<SolverSpeedupRow> {
+    vec![
+        solver_speedup_row(
+            "BOS-B",
+            series,
+            reference::bitwidth_solve,
+            BitWidthSolver::new(),
+        ),
+        solver_speedup_row("BOS-V", series, reference::value_solve, ValueSolver::new()),
+    ]
+}
+
+/// One row of [`solver_speedup_rows`]: `reference` against `solver`.
+fn solver_speedup_row(
+    name: &'static str,
+    series: &[i64],
+    reference: fn(SolverConfig, &[i64]) -> Solution,
+    mut solver: impl Solver,
+) -> SolverSpeedupRow {
     let full = SolverConfig::default();
-    let mut rows = Vec::new();
-
     let mut expected = Vec::new();
-    let (_, reference_ns) = time_best_of(cfg.repeats, || {
-        expected.clear();
-        for block in series.chunks(BLOCK) {
-            expected.push(reference::bitwidth_solve(full, block));
-        }
-    });
     let mut got = Vec::new();
-    let mut solver = BitWidthSolver::new();
     let mut scratch = SolverScratch::new();
-    let (_, new_ns) = time_best_of(cfg.repeats, || {
-        got.clear();
-        for block in series.chunks(BLOCK) {
-            got.push(solver.solve_into(block, &mut scratch));
-        }
-    });
+    let ab = time_ab(
+        SOLVER_AB_ROUNDS,
+        1,
+        || {
+            expected.clear();
+            for block in series.chunks(BLOCK) {
+                expected.push(reference(full, block));
+            }
+        },
+        || {
+            got.clear();
+            for block in series.chunks(BLOCK) {
+                got.push(solver.solve_into(block, &mut scratch));
+            }
+        },
+    );
     assert_eq!(
         got, expected,
-        "overhauled BOS-B must stay bit-identical to the frozen reference"
+        "overhauled {name} must stay bit-identical to the frozen reference"
     );
-    rows.push(SolverSpeedupRow {
-        name: "BOS-B",
-        reference_ns,
-        new_ns,
-    });
-
-    let mut expected = Vec::new();
-    let (_, reference_ns) = time_best_of(cfg.repeats, || {
-        expected.clear();
-        for block in series.chunks(BLOCK) {
-            expected.push(reference::value_solve(full, block));
-        }
-    });
-    let mut got = Vec::new();
-    let mut solver = ValueSolver::new();
-    let mut scratch = SolverScratch::new();
-    let (_, new_ns) = time_best_of(cfg.repeats, || {
-        got.clear();
-        for block in series.chunks(BLOCK) {
-            got.push(solver.solve_into(block, &mut scratch));
-        }
-    });
-    assert_eq!(
-        got, expected,
-        "overhauled BOS-V must stay bit-identical to the frozen reference"
-    );
-    rows.push(SolverSpeedupRow {
-        name: "BOS-V",
-        reference_ns,
-        new_ns,
-    });
-
-    rows
+    SolverSpeedupRow { name, ab }
 }
 
 /// Renders the PR 8 solver artifact.
@@ -619,9 +599,9 @@ fn render_pr8_json(
             "    {{ \"name\": \"{}\", \"reference_ns\": {:.0}, \"new_ns\": {:.0}, \
              \"speedup\": {:.2}, \"bit_identical\": true }}{}\n",
             r.name,
-            r.reference_ns,
-            r.new_ns,
-            r.speedup(),
+            r.ab.a_ns,
+            r.ab.b_ns,
+            r.ab.ratio,
             if i + 1 < speedup_rows.len() { "," } else { "" }
         ));
     }
@@ -656,15 +636,18 @@ fn solver_section(cfg: &Config, write_artifact: bool) {
     table.print();
     println!();
 
-    let speedup_rows = solver_speedup_rows(cfg, &series);
-    println!("Solver search vs frozen pre-overhaul reference (bit-identical solutions):");
+    let speedup_rows = solver_speedup_rows(&series);
+    println!(
+        "Solver search vs frozen pre-overhaul reference (bit-identical solutions; \
+         fastest pass per side, speedup = median per-round ratio):"
+    );
     let mut table = Table::new(["solver", "reference ms", "new ms", "speedup"]);
     for r in &speedup_rows {
         table.row([
             r.name.to_string(),
-            format!("{:.2}", r.reference_ns / 1e6),
-            format!("{:.2}", r.new_ns / 1e6),
-            format!("{:.2}x", r.speedup()),
+            format!("{:.2}", r.ab.a_ns / 1e6),
+            format!("{:.2}", r.ab.b_ns / 1e6),
+            format!("{:.2}x", r.ab.ratio),
         ]);
     }
     table.print();
@@ -674,7 +657,7 @@ fn solver_section(cfg: &Config, write_artifact: bool) {
         .expect("BOS-B row present");
     println!(
         "BOS-B search speedup: {:.2}x (gate: >= {SOLVER_SPEEDUP_GATE}x)",
-        bosb.speedup()
+        bosb.ab.ratio
     );
     if cfg!(debug_assertions) {
         println!("(debug build: solver speedup gate reported but not enforced)");
@@ -682,10 +665,10 @@ fn solver_section(cfg: &Config, write_artifact: bool) {
         println!("(BOS_N < {GATE_MIN_N}: solver speedup gate reported but not enforced)");
     } else {
         assert!(
-            bosb.speedup() >= SOLVER_SPEEDUP_GATE,
+            bosb.ab.ratio >= SOLVER_SPEEDUP_GATE,
             "overhauled BOS-B search must be >= {SOLVER_SPEEDUP_GATE}x the frozen \
              reference, got {:.2}x",
-            bosb.speedup()
+            bosb.ab.ratio
         );
     }
     println!();

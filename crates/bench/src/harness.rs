@@ -102,6 +102,45 @@ pub fn time_best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (last.expect("repeats >= 1"), best)
 }
 
+/// What [`time_ab`] measured.
+#[derive(Debug, Clone, Copy)]
+pub struct AbTimes {
+    /// Fastest round of side `a` (ns).
+    pub a_ns: f64,
+    /// Fastest round of side `b` (ns).
+    pub b_ns: f64,
+    /// Median over rounds of that round's `a / b` (the upper median for
+    /// an even round count) — the estimate the gates check.
+    pub ratio: f64,
+}
+
+/// Same-run A/B timing: `rounds` alternating rounds, each running
+/// [`time_best_of`]`(repeats, ..)` on `a` and then on `b`.
+///
+/// Both sides of a round run back to back, so a busy or an idle stretch
+/// of a shared machine moves both and mostly cancels out of that
+/// round's ratio; the median then drops the rounds a change of load
+/// split in two. Per-side minima alone do not cancel it: one lucky
+/// sample on one side skews their ratio.
+pub fn time_ab(rounds: usize, repeats: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> AbTimes {
+    assert!(rounds >= 1);
+    let (mut a_ns, mut b_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let (_, a_round) = time_best_of(repeats, &mut a);
+        let (_, b_round) = time_best_of(repeats, &mut b);
+        a_ns = a_ns.min(a_round);
+        b_ns = b_ns.min(b_round);
+        ratios.push(a_round / b_round.max(1.0));
+    }
+    ratios.sort_by(f64::total_cmp);
+    AbTimes {
+        a_ns,
+        b_ns,
+        ratio: ratios[rounds / 2],
+    }
+}
+
 /// Timing spread over a repeat set, all in nanoseconds.
 ///
 /// `min` is the low-noise point estimate (same rationale as
@@ -246,6 +285,21 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(["a", "b"]);
         t.row(["only one"]);
+    }
+
+    #[test]
+    fn ab_alternates_sides_each_round() {
+        let order = std::cell::RefCell::new(String::new());
+        let ab = time_ab(
+            3,
+            1,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        // Each round: warmup + one timed run per side, `a` first.
+        assert_eq!(order.into_inner(), "aabbaabbaabb");
+        assert!(ab.a_ns.is_finite() && ab.b_ns.is_finite());
+        assert!(ab.ratio.is_finite() && ab.ratio >= 0.0);
     }
 
     #[test]

@@ -46,6 +46,8 @@ pub mod stats;
 pub mod stream;
 pub mod theory;
 
+use bitpack::EncodeSession;
+
 pub use cost::{Evaluation, Separation, Solution, SortedBlock};
 pub use format::{decode_block as decode, encode_block_with_solution};
 pub use solver::{
@@ -197,15 +199,19 @@ impl BosCodec {
         }
     }
 
-    /// Encodes one block of values into `out`.
+    /// Encodes one block of values into `out` through a one-shot
+    /// session: a fresh solver and scratch, as [`BosCodec::solve`] uses.
     pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
-        let (search_span, pack_span) = self.span_names();
-        let solution = {
-            let _span = obs::span(search_span);
-            self.solve(values)
-        };
-        let _span = obs::span(pack_span);
-        format::encode_block_with_solution(values, &solution, out);
+        self.session().encode_block(values, out);
+    }
+
+    /// A session holding a fresh solver and an empty scratch.
+    fn session(&self) -> BosSession {
+        BosSession {
+            codec: *self,
+            solver: self.kind.build(),
+            scratch: SolverScratch::new(),
+        }
     }
 
     /// Decodes one block from `buf[*pos..]` into `out`. Identical to the
@@ -236,14 +242,8 @@ impl bitpack::BlockCodec for BosCodec {
         format::decode_block(buf, pos, out)
     }
 
-    fn encode_session(&self) -> Box<dyn bitpack::EncodeSession + '_> {
-        let solver = self.kind.build();
-        let scratch = solver.scratch();
-        Box::new(BosSession {
-            codec: *self,
-            solver,
-            scratch,
-        })
+    fn encode_session(&self) -> Box<dyn EncodeSession + '_> {
+        Box::new(self.session())
     }
 }
 
@@ -257,7 +257,7 @@ struct BosSession {
     scratch: SolverScratch,
 }
 
-impl bitpack::EncodeSession for BosSession {
+impl EncodeSession for BosSession {
     fn encode_block(&mut self, values: &[i64], out: &mut Vec<u8>) {
         let (search_span, pack_span) = self.codec.span_names();
         let solution = {

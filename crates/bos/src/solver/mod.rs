@@ -89,13 +89,6 @@ pub trait Solver {
     /// result.
     fn solve_into(&mut self, values: &[i64], scratch: &mut SolverScratch) -> Solution;
 
-    /// Creates a scratch suited to this solver. The default empty scratch
-    /// fits every shipping solver; the hook exists so future solvers can
-    /// pre-size theirs.
-    fn scratch(&self) -> SolverScratch {
-        SolverScratch::new()
-    }
-
     /// Convenience wrapper: one-shot solve with a throwaway scratch.
     ///
     /// Takes `&self` (the pre-overhaul signature) by cloning, so existing

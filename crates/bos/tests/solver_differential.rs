@@ -103,7 +103,7 @@ proptest! {
     fn dirty_scratch_never_leaks(a in adversarial_blocks(), b in adversarial_blocks()) {
         for kind in SolverKind::ALL {
             let mut solver = kind.build();
-            let mut shared = solver.scratch();
+            let mut shared = SolverScratch::new();
             let _ = solver.solve_into(&a, &mut shared);
             let dirty = solver.solve_into(&b, &mut shared);
             let fresh = kind.build().solve_into(&b, &mut SolverScratch::new());

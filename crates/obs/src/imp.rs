@@ -1,6 +1,11 @@
-//! The instrumented build: a process-wide registry of leaked atomic
-//! cells plus a thread-local span stack. Compiled only with the
-//! `enabled` feature; `noop.rs` mirrors the API otherwise.
+//! The one implementation: a process-wide registry of leaked atomic
+//! cells plus a thread-local span stack. It compiles in both feature
+//! states; [`COMPILED`] carries the `enabled` feature into the code.
+//! With the feature off, [`enabled`] is the constant `false`, spans and
+//! the trail recorder go inert with it, the metric entry points return
+//! before touching a cell, and the dynamic lookups hand out one shared
+//! inert static per kind, so nothing registers or allocates. Every such
+//! guard is a test of a constant, which the optimizer folds away.
 //!
 //! Design notes:
 //!
@@ -24,6 +29,10 @@ use std::time::Instant;
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 use crate::trail::{Event, Trail, TrailEvent, SAMPLE_CLASSES};
 
+/// True when the `enabled` feature is on. Every entry point that would
+/// record or register tests it first, so the feature-off build is inert.
+const COMPILED: bool = cfg!(feature = "enabled");
+
 /// Runtime kill-switch on top of the compile-time feature gate. Starts
 /// `true`; benchmarks flip it to A/B instrumentation overhead in-process.
 static RUNTIME_ON: AtomicBool = AtomicBool::new(true);
@@ -32,10 +41,11 @@ static RUNTIME_ON: AtomicBool = AtomicBool::new(true);
 /// Call sites use this to skip name composition and batched recording.
 #[inline]
 pub fn enabled() -> bool {
-    RUNTIME_ON.load(Ordering::Relaxed)
+    COMPILED && RUNTIME_ON.load(Ordering::Relaxed)
 }
 
-/// Flips the runtime kill-switch (no-op without the `enabled` feature).
+/// Flips the runtime kill-switch (inert without the `enabled` feature,
+/// where [`enabled`] stays `false`).
 pub fn set_enabled(on: bool) {
     RUNTIME_ON.store(on, Ordering::Relaxed);
 }
@@ -58,7 +68,9 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
+        if COMPILED {
+            self.v.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Adds one event.
@@ -93,13 +105,17 @@ impl Gauge {
     /// Sets the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        self.v.store(v, Ordering::Relaxed);
+        if COMPILED {
+            self.v.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Adjusts the level by `delta`.
     #[inline]
     pub fn add(&self, delta: i64) {
-        self.v.fetch_add(delta, Ordering::Relaxed);
+        if COMPILED {
+            self.v.fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
     /// Current level.
@@ -142,6 +158,9 @@ impl Histogram {
     /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
+        if !COMPILED {
+            return;
+        }
         let b = (u64::BITS - v.leading_zeros()) as usize;
         if let Some(cell) = self.buckets.get(b) {
             cell.fetch_add(1, Ordering::Relaxed);
@@ -280,18 +299,36 @@ fn get_or_insert<T>(
     cell
 }
 
+/// The cells every lookup returns in the feature-off build: never
+/// registered, and inert because recording checks [`COMPILED`].
+static INERT_COUNTER: Counter = Counter::zero();
+static INERT_GAUGE: Gauge = Gauge::zero();
+static INERT_HISTOGRAM: Histogram = Histogram::zero();
+
 /// Looks up (registering on first use) the counter called `name`.
+#[inline]
 pub fn counter(name: &str) -> &'static Counter {
+    if !COMPILED {
+        return &INERT_COUNTER;
+    }
     get_or_insert(&registry().counters, name, Counter::zero)
 }
 
 /// Looks up (registering on first use) the gauge called `name`.
+#[inline]
 pub fn gauge(name: &str) -> &'static Gauge {
+    if !COMPILED {
+        return &INERT_GAUGE;
+    }
     get_or_insert(&registry().gauges, name, Gauge::zero)
 }
 
 /// Looks up (registering on first use) the histogram called `name`.
+#[inline]
 pub fn histogram(name: &str) -> &'static Histogram {
+    if !COMPILED {
+        return &INERT_HISTOGRAM;
+    }
     get_or_insert(&registry().histograms, name, Histogram::zero)
 }
 
@@ -449,6 +486,7 @@ pub struct SpanGuard {
 /// Opens a span named `name`; time until the returned guard drops is
 /// attributed to it. Nested spans subtract cleanly: a parent's
 /// `self_ns` excludes its children's totals.
+#[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
@@ -655,8 +693,12 @@ pub fn trail_set_recording(on: bool) {
 /// ticket `t` is recorded when `t % every == 0`. Zero is clamped to 1
 /// (record everything, the default). Resets the ticket counters so a
 /// fixed workload records a deterministic `ceil(emitted / N)` per
-/// category regardless of thread interleaving.
+/// category regardless of thread interleaving. Inert without the
+/// `enabled` feature, where sampling stays at 1.
 pub fn trail_set_sampling(every: u64) {
+    if !COMPILED {
+        return;
+    }
     TRAIL_SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
     for ticket in &TRAIL_TICKETS {
         ticket.store(0, Ordering::Relaxed);
@@ -679,6 +721,7 @@ pub fn trail_set_capacity(cap: usize) {
 /// an uncontended mutex lock, and a ring write — no allocation once the
 /// ring has grown to capacity. Block-scoped events are subject to the
 /// sampling knob; lifecycle events are always recorded.
+#[inline]
 pub fn trail_emit(event: Event) {
     if !trail_recording() {
         return;
@@ -721,8 +764,12 @@ pub fn trail_drain() -> Trail {
 
 // --- snapshot / reset / report -------------------------------------------
 
-/// Copies the whole registry into a plain-data [`Snapshot`].
+/// Copies the whole registry into a plain-data [`Snapshot`]; the empty
+/// snapshot without the `enabled` feature.
 pub fn snapshot() -> Snapshot {
+    if !COMPILED {
+        return Snapshot::default();
+    }
     let r = registry();
     Snapshot {
         enabled: true,
@@ -765,10 +812,55 @@ pub fn reset() {
 
 /// Human-readable table of the current registry state.
 pub fn report() -> String {
+    if !COMPILED {
+        return "obs: disabled build (enable the `obs` feature for metrics)\n".to_string();
+    }
     snapshot().render()
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "enabled")))]
+mod off_tests {
+    use super::*;
+
+    /// The zero-overhead contract's compile-time half: with the feature
+    /// off there is no registry — driving every API leaves nothing
+    /// observable.
+    #[test]
+    fn everything_is_inert() {
+        assert!(!enabled());
+        set_enabled(true);
+        assert!(!enabled(), "runtime switch must be inert when compiled out");
+        counter("noop.c").add(5);
+        gauge("noop.g").set(-3);
+        histogram("noop.h").record(42);
+        static C: CounterHandle = CounterHandle::new("noop.hc");
+        C.inc();
+        assert_eq!(C.get(), 0);
+        assert_eq!(C.name(), "noop.hc");
+        static G: GaugeHandle = GaugeHandle::new("noop.hg");
+        G.add(1);
+        assert_eq!(G.get(), 0);
+        static H: HistogramHandle = HistogramHandle::new("noop.hh");
+        H.record(7);
+        {
+            let _g = span("noop.span");
+        }
+        trail_set_recording(true);
+        assert!(!trail_recording(), "trail must be inert when compiled out");
+        trail_emit(Event::BlockPlain { n: 1, width: 1 });
+        trail_set_sampling(4);
+        assert_eq!(trail_sampling(), 1);
+        trail_set_capacity(8);
+        assert!(trail_drain().is_empty(), "no-op trail must stay empty");
+        let snap = snapshot();
+        assert!(!snap.enabled);
+        assert!(snap.is_empty(), "no-op build must register nothing");
+        assert!(report().contains("disabled"));
+        reset();
+    }
+}
+
+#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
 

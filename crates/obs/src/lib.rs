@@ -5,9 +5,11 @@
 //! registry is a lazily grown map of leaked atomic cells — recording a
 //! metric is one or two relaxed atomic RMWs, and spans cost two
 //! `Instant::now()` calls plus a thread-local stack push/pop. With it
-//! off, the *same* API compiles to inlinable no-ops: handles are
-//! name-only shells, lookups return shared zero-sized statics, and
-//! [`snapshot`] is always empty. Consumers therefore call `obs::` APIs
+//! off, the *same* code compiles, but every entry point first tests a
+//! constant that says the feature is off, so recording folds away,
+//! lookups return shared inert statics, and [`snapshot`] is always
+//! empty. There is one implementation for both states, so the two
+//! builds cannot drift apart. Consumers call `obs::` APIs
 //! unconditionally; no `#[cfg]` ever appears at an instrumentation site.
 //!
 //! Two usage idioms, by call-site temperature:
@@ -35,8 +37,8 @@
 //! Aggregates answer *how much*; the [`trail`] flight recorder answers
 //! *what happened*: per-block provenance events in per-thread ring
 //! buffers, drained into a time-ordered [`trail::Trail`] and exported
-//! as Chrome `trace_event` JSON or JSONL. Like everything else it
-//! compiles to no-ops without the feature.
+//! as Chrome `trace_event` JSON or JSONL. Like everything else it is
+//! inert without the feature.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,18 +48,8 @@ pub mod trail;
 
 pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 
-#[cfg(feature = "enabled")]
 mod imp;
-#[cfg(feature = "enabled")]
 pub use imp::{
-    counter, enabled, gauge, histogram, report, reset, set_enabled, snapshot, span, Counter,
-    CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, SpanGuard,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
     counter, enabled, gauge, histogram, report, reset, set_enabled, snapshot, span, Counter,
     CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, SpanGuard,
 };

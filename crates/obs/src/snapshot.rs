@@ -1,7 +1,7 @@
-//! Plain-data snapshot types shared by the real and no-op builds, plus
-//! the JSON and table renderers. Keeping these outside the `#[cfg]`
-//! switch means consumers can hold and serialize a [`Snapshot`] without
-//! caring which build produced it.
+//! Plain-data snapshot types, plus the JSON and table renderers.
+//! Consumers can hold and serialize a [`Snapshot`] without caring which
+//! feature state produced it: the feature-off build always yields the
+//! empty one.
 
 /// Point-in-time copy of one histogram's state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -32,17 +32,10 @@ pub struct Config {
     /// Decode-path files whose shipping code must not use raw `+`/`*`/`<<`
     /// on length/offset expressions — checked/saturating helpers only.
     pub unchecked_arith: Vec<String>,
-    /// Exactly two files: the obs implementation module and its no-op
-    /// twin, whose public APIs must be signature-identical.
-    pub obs_parity_files: Vec<String>,
-    /// Error enums whose every variant must be constructed in shipping
-    /// code and referenced by at least one test.
+    /// Enums (error enums, and the flight-recorder `obs::trail::Event`)
+    /// whose every variant must be constructed in shipping code and
+    /// referenced by at least one test.
     pub error_variant_enums: Vec<String>,
-    /// Flight-recorder event enums (e.g. `obs::trail::Event`): every
-    /// variant must be emitted from shipping code and referenced by at
-    /// least one test — a never-emitted event is dead provenance, and an
-    /// untested one can silently rot its payload.
-    pub trail_event_enums: Vec<String>,
     /// Directory prefixes whose shipping functions must join every thread
     /// handle they spawn.
     pub join_spawn_dirs: Vec<String>,
@@ -72,9 +65,7 @@ impl Config {
             "encode-decode-pairing",
             "obs-label-unique",
             "unchecked-arith-in-decode",
-            "obs-feature-parity",
             "error-variant-coverage",
-            "trail-event-paired",
             "join-all-spawns",
             "solver-entry-scratch",
             "durable-rename",
@@ -104,7 +95,6 @@ impl Config {
                 "encode-decode-pairing" => "crates",
                 "obs-label-unique" => "patterns",
                 "error-variant-coverage" => "enums",
-                "trail-event-paired" => "enums",
                 "join-all-spawns" => "dirs",
                 _ => "files",
             };
@@ -153,9 +143,7 @@ impl Config {
                 "encode-decode-pairing" => config.pairing_crates = values,
                 "obs-label-unique" => config.obs_label_patterns = values,
                 "unchecked-arith-in-decode" => config.unchecked_arith = values,
-                "obs-feature-parity" => config.obs_parity_files = values,
                 "error-variant-coverage" => config.error_variant_enums = values,
-                "trail-event-paired" => config.trail_event_enums = values,
                 "join-all-spawns" => config.join_spawn_dirs = values,
                 "solver-entry-scratch" => config.solver_entry_scratch = values,
                 "durable-rename" => config.durable_rename = values,
@@ -226,14 +214,8 @@ patterns = ["CounterHandle::new", "obs::span"]
 [unchecked-arith-in-decode]
 files = ["crates/bitpack/src/pack.rs"]
 
-[obs-feature-parity]
-files = ["crates/obs/src/imp.rs", "crates/obs/src/noop.rs"]
-
 [error-variant-coverage]
-enums = ["DecodeError", "SkipReason"]
-
-[trail-event-paired]
-enums = ["Event"]
+enums = ["DecodeError", "SkipReason", "Event"]
 
 [join-all-spawns]
 dirs = ["crates", "src"]
@@ -249,9 +231,10 @@ files = ["crates/bench/src/main.rs"]
 "#;
         let c = Config::parse(raw).expect("parses");
         assert_eq!(c.unchecked_arith, vec!["crates/bitpack/src/pack.rs"]);
-        assert_eq!(c.obs_parity_files.len(), 2);
-        assert_eq!(c.error_variant_enums, vec!["DecodeError", "SkipReason"]);
-        assert_eq!(c.trail_event_enums, vec!["Event"]);
+        assert_eq!(
+            c.error_variant_enums,
+            vec!["DecodeError", "SkipReason", "Event"]
+        );
         assert_eq!(c.join_spawn_dirs, vec!["crates", "src"]);
         assert_eq!(
             c.solver_entry_scratch,
@@ -265,13 +248,10 @@ files = ["crates/bench/src/main.rs"]
     fn new_sections_reject_wrong_keys() {
         assert!(Config::parse("[error-variant-coverage]\nfiles = []").is_err());
         assert!(Config::parse("[error-variant-coverage]\nenums = [\"E\"]").is_ok());
-        assert!(Config::parse("[trail-event-paired]\nfiles = []").is_err());
-        assert!(Config::parse("[trail-event-paired]\nenums = [\"Event\"]").is_ok());
         assert!(Config::parse("[join-all-spawns]\nfiles = []").is_err());
         assert!(Config::parse("[join-all-spawns]\ndirs = [\"crates\"]").is_ok());
         assert!(Config::parse("[durable-rename]\ndirs = []").is_err());
         assert!(Config::parse("[durable-rename]\nfiles = [\"a.rs\"]").is_ok());
-        assert!(Config::parse("[obs-feature-parity]\npaths = []").is_err());
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   unchecked-arith-in-decode** — per-file decode-path hardening rules.
 //! - **encode-decode-pairing / obs-label-unique** — cross-file
 //!   structural invariants of the codec and obs layers.
-//! - **obs-feature-parity / error-variant-coverage / join-all-spawns** —
-//!   semantic rules over the item tree (API twin-ness, dead error
-//!   variants, detached threads).
+//! - **error-variant-coverage / join-all-spawns / solver-entry-scratch /
+//!   durable-rename** — semantic rules over the item tree (dead or
+//!   untested error and trail-event variants, detached threads, solvers
+//!   that allocate per block, file writes without the fsync-rename
+//!   protocol).
 //! - **lint-config-hygiene / no-panic-coverage** — `lint.toml`
 //!   self-checks: listed files must exist, and every shipping file under
 //!   `crates/` is either in `[no-panic]` or allow-listed in
